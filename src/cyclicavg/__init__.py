@@ -11,6 +11,7 @@ from .errors import (
     InconsistentDistancesError,
     InexactSqrtError,
     InvalidAverageError,
+    MixedRadicandError,
     NegativeDiscriminantError,
     NoAntipodesError,
     NoCertificateFoundError,
@@ -48,6 +49,7 @@ from .polygon import (
     Locus,
     circumcircle_residual,
     cyclic_average,
+    design_coefficients,
     locus_classify,
     polygon_distances_sq_exact,
     power_sum_brute,

@@ -46,5 +46,9 @@ class InexactSqrtError(DomainError):
     """Exact backend needed a square root that is not rational."""
 
 
+class MixedRadicandError(DomainError):
+    """Arithmetic combined two different irrational radicands."""
+
+
 class NoAntipodesError(DomainError):
     """Figure has no diametrically opposite vertex pairs (tetrahedron)."""

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import InexactSqrtError
+from .errors import InexactSqrtError, MixedRadicandError
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, float, Fraction, "Surd"]
@@ -50,6 +50,11 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, Surd))
 
 
+def ratio_like(num: int, den: int, template: Scalar) -> Scalar:
+    """The constant num/den in template's backend: a Fraction or a float."""
+    return Fraction(num, den) if is_exact(template) else num / den
+
+
 class Surd:
     """Element ``a + b*sqrt(d)`` of a real quadratic extension of the rationals.
 
@@ -74,7 +79,7 @@ class Surd:
     def _coerce(self, other: Scalar) -> "Surd":
         if isinstance(other, Surd):
             if self.d and other.d and self.d != other.d:
-                raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
+                raise MixedRadicandError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
             return Surd(other)
@@ -126,14 +131,15 @@ class Surd:
     def __pow__(self, n: int) -> "Surd":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Surd(1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return Surd(1) if out is None else out
 
     # -- structure -------------------------------------------------------
 
@@ -256,10 +262,6 @@ def sqrt_scalar(x: Scalar) -> Scalar:
             raise InexactSqrtError(f"sqrt({x!r}) does not lie in the same field")
         return r
     return math.sqrt(x)
-
-
-def as_float(x: Scalar) -> float:
-    return float(x)
 
 
 _HALF = Fraction(1, 2)

@@ -422,11 +422,3 @@ def certify_no_small_factor(p: IntegerPolynomial, max_degree: int = 4,
     return DegreeCertificate(
         max_degree, True, fully, None, tuple(patterns), remaining,
         "divisor-search")
-
-
-def certificate_or_raise(p: IntegerPolynomial, **kwargs) -> DegreeCertificate:
-    cert = certify_no_small_factor(p, **kwargs)
-    if not cert.certified:
-        raise NoCertificateFoundError(
-            f"no certificate: method={cert.method}, notes={cert.notes}")
-    return cert

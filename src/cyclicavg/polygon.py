@@ -1,24 +1,29 @@
-"""Power sums of squared vertex distances for regular polygons.
+"""Power sums of squared vertex distances, stated once for every dimension.
 
-The closed form implemented here: for a point at distance L from the centroid
-of a regular n-gon with circumradius R, and any power index m = 1..n-1,
+A regular n-gon's vertices form a spherical (n-1)-design on the circle (d = 2),
+a Platonic solid's a t-design on the sphere (d = 3, see solids).  So for a
+point at distance L from the centroid, circumradius R, A = R^2 + L^2 and any
+power index m = 1..t, the cyclic average is the whole sphere's:
 
-    sum_i d_i^(2m) = n * [ A^m + sum_{k=1..floor(m/2)} C(m,2k) C(2k,k)
-                                    (R^2 L^2)^k A^(m-2k) ],   A = R^2 + L^2.
+    S^(2m) = sum_k C(m,2k) A^(m-2k) (4 R^2 L^2)^k E_d[cos^2k],
+    E_d[cos^2k] = prod_{i<k} (2i+1)/(d+2i),
 
-For m >= n the sum genuinely depends on the polar angle and the closed form
-is refused; the brute-force oracle remains available for every m.
+which for d = 2 is sum_k C(m,2k) C(2k,k) (R^2 L^2)^k A^(m-2k).  For m > t the
+sum depends on the direction of the point and the closed form is refused;
+the brute-force oracles remain available for every m.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import InvalidAverageError, NegativeDiscriminantError, OutOfRangeError
-from .fields import Scalar, exact_cos_cycle, exact_cos_sq_cycle, is_exact, sqrt_scalar
+from .fields import (Rational, Scalar, exact_cos_cycle, exact_cos_sq_cycle, is_exact,
+                     ratio_like, sqrt_scalar)
 from .geometry import (
     PlanePlacement,
     PolygonSpec,
@@ -28,28 +33,54 @@ from .geometry import (
 )
 
 
-def per_vertex_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
-    """The cyclic average S^(2m) as a function of R^2 and L^2 (any backend)."""
-    a = r_sq + l_sq
-    rl = r_sq * l_sq
-    total = a ** m
+@functools.lru_cache(maxsize=256)
+def design_coefficients(m: int, dim: int) -> tuple[Rational, ...]:
+    """C(m,2k) 4^k E_dim[cos^2k] for k = 1..floor(m/2); integral values as int."""
+    out: list[Rational] = []
+    moment = Fraction(1)
     for k in range(1, m // 2 + 1):
-        total += math.comb(m, 2 * k) * math.comb(2 * k, k) * rl ** k * a ** (m - 2 * k)
+        moment *= Fraction(2 * k - 1, dim + 2 * k - 2)
+        c = math.comb(m, 2 * k) * 4 ** k * moment
+        out.append(c.numerator if c.denominator == 1 else c)
+    return tuple(out)
+
+
+def _design_sum(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
+    """The design-moment average at A = a, R^2 L^2 = rl; float overflow gives inf."""
+    try:
+        total = a ** m
+        for k, c in enumerate(design_coefficients(m, dim), 1):
+            total += c * rl ** k * a ** (m - 2 * k)
+    except OverflowError:
+        return math.inf
     return total
 
 
-def _check_m(n: int, m: int) -> None:
-    if not 1 <= m <= n - 1:
+def _finite(value: Scalar) -> Scalar:
+    """value, unless it is a float that overflowed."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise OutOfRangeError("the float result overflows; use smaller inputs "
+                              "or the exact backend")
+    return value
+
+
+def _check_power(m: int, top: int, figure: str) -> None:
+    if not 1 <= m <= top:
         raise OutOfRangeError(
-            f"power index m={m} outside 1..{n - 1}: for m >= n the sum depends "
-            "on the polar angle and has no closed form here"
+            f"power index m={m} outside 1..{top} for the {figure}: beyond it "
+            "the sum depends on the placement's direction, not only on L"
         )
+
+
+def per_vertex_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
+    """The cyclic average S^(2m) as a function of R^2 and L^2 (any backend)."""
+    return _design_sum(m, 2, r_sq + l_sq, r_sq * l_sq)
 
 
 def power_sum_closed_sq(n: int, m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all n vertices, from squared inputs."""
-    _check_m(n, m)
-    return n * per_vertex_power_sum_sq(m, r_sq, l_sq)
+    _check_power(m, n - 1, f"{n}-gon")
+    return _finite(n * per_vertex_power_sum_sq(m, r_sq, l_sq))
 
 
 def power_sum_closed(spec: PolygonSpec, m: int, L: Scalar) -> Scalar:
@@ -66,15 +97,20 @@ class CyclicAverage:
 
 
 def cyclic_average(spec: PolygonSpec, m: int, L: Scalar) -> CyclicAverage:
-    _check_m(spec.n, m)
-    return CyclicAverage(m, per_vertex_power_sum_sq(m, spec.R_sq, L * L), spec)
+    _check_power(m, spec.n - 1, f"{spec.n}-gon")
+    return CyclicAverage(m, _finite(per_vertex_power_sum_sq(m, spec.R_sq, L * L)), spec)
 
 
 def power_sum_brute(spec: PolygonSpec, m: int, p: PlanePlacement) -> float:
     """Oracle: sum d_i^(2m) at a concrete placement. Defined for every m >= 1."""
     if m < 1:
         raise OutOfRangeError("power index m must be >= 1")
-    return math.fsum(polygon_distance_sq(spec, p, i) ** m for i in range(1, spec.n + 1))
+    try:
+        total = math.fsum(polygon_distance_sq(spec, p, i) ** m
+                          for i in range(1, spec.n + 1))
+    except OverflowError:
+        total = math.inf
+    return _finite(total)
 
 
 def polygon_distances_sq_exact(n: int, R: Scalar, L: Scalar,
@@ -181,8 +217,8 @@ def bisect_radius_sq(f: Callable[[float], float], target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _classify(n: int, m: int, r_sq: Scalar, C: Scalar, kind: str,
-              per_vertex: Callable[..., Scalar] = per_vertex_power_sum_sq) -> Locus:
+def _classify(n: int, m: int, r_sq: Scalar, C: Scalar, dim: int) -> Locus:
+    """Locus for an n-vertex design in dimension dim (2: circle, 3: sphere)."""
     if not C > 0:
         raise OutOfRangeError("the constant must be positive")
     centre_value = n * r_sq ** m
@@ -199,35 +235,45 @@ def _classify(n: int, m: int, r_sq: Scalar, C: Scalar, kind: str,
         if cf < nf:
             return Locus("empty")
     r_sq_f = float(r_sq)
-    root = bisect_radius_sq(lambda u: n * float(per_vertex(m, r_sq_f, u)), float(C))
-    return Locus(kind, math.sqrt(root))
+    root = bisect_radius_sq(
+        lambda u: n * float(_design_sum(m, dim, r_sq_f + u, r_sq_f * u)), float(C))
+    return Locus("circle" if dim == 2 else "sphere", math.sqrt(root))
 
 
 def locus_classify(spec: PolygonSpec, m: int, C: Scalar) -> Locus:
     """Circle of the unique radius, the centroid, or the empty set."""
-    _check_m(spec.n, m)
-    return _classify(spec.n, m, spec.R_sq, C, "circle")
+    _check_power(m, spec.n - 1, f"{spec.n}-gon")
+    return _classify(spec.n, m, spec.R_sq, C, 2)
 
 
 # ---------------------------------------------------------------------------
 # conversions between averages and (R^2, L^2)
 
 
+def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
+    """{R^2, L^2} from S2 = R^2 + L^2 and S4 = S2^2 + (4/dim) R^2 L^2.
+
+    The discriminant (dim+1) S2^2 - dim S4 equals (R^2 - L^2)^2 for
+    consistent data.
+    """
+    if not s2 > 0:
+        raise InvalidAverageError("S2 must be positive")
+    disc = (dim + 1) * s2 * s2 - dim * s4
+    if disc < 0:
+        raise NegativeDiscriminantError(
+            f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
+    root = sqrt_scalar(disc)
+    half = ratio_like(1, 2, s2)
+    return (half * (s2 + root), half * (s2 - root))
+
+
 def recover_r2_l2(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
-    """The unordered pair {R^2, L^2} from the first two cyclic averages.
+    """The unordered pair {R^2, L^2} from a polygon's first two cyclic averages.
 
     Solves S2 = R^2 + L^2, S4 = S2^2 + 2 R^2 L^2; the discriminant
     3 S2^2 - 2 S4 equals (R^2 - L^2)^2 for consistent data.
     """
-    if not s2 > 0:
-        raise InvalidAverageError("S2 must be positive")
-    disc = 3 * s2 * s2 - 2 * s4
-    if disc < 0:
-        raise NegativeDiscriminantError(
-            f"3*S2^2 - 2*S4 = {disc} < 0: no real (R^2, L^2) exists")
-    root = sqrt_scalar(disc)
-    half = Fraction(1, 2) if is_exact(s2) else 0.5
-    return (half * (s2 + root), half * (s2 - root))
+    return _recover(2, s2, s4)
 
 
 def s2m_from_s2(m: int, s2: Scalar, r_sq: Scalar) -> Scalar:
@@ -236,7 +282,7 @@ def s2m_from_s2(m: int, s2: Scalar, r_sq: Scalar) -> Scalar:
         raise OutOfRangeError("conversion defined for m >= 2")
     if s2 < r_sq:
         raise InvalidAverageError("S2 < R^2 would force L^2 < 0")
-    return per_vertex_power_sum_sq(m, r_sq, s2 - r_sq)
+    return _finite(per_vertex_power_sum_sq(m, r_sq, s2 - r_sq))
 
 
 def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:
@@ -246,19 +292,19 @@ def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:
     gap = s4 - s2 * s2
     if gap < 0:
         raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
-    half = Fraction(1, 2) if is_exact(gap) else 0.5
-    total = s2 ** m
-    for k in range(1, m // 2 + 1):
-        total += (half ** k) * math.comb(m, 2 * k) * math.comb(2 * k, k) \
-            * gap ** k * s2 ** (m - 2 * k)
-    return total
+    return _finite(_design_sum(m, 2, s2, ratio_like(1, 2, gap) * gap))
+
+
+def _sphere_residual(dim: int, d_sq: Sequence[Scalar]) -> Scalar:
+    """(dim+1) (sum d^2)^2 - dim n sum d^4; zero exactly when L = R."""
+    n = len(d_sq)
+    s2 = sum(d_sq)
+    s4 = sum(d * d for d in d_sq)
+    return (dim + 1) * s2 * s2 - dim * n * s4
 
 
 def circumcircle_residual(d_sq: tuple[Scalar, ...]) -> Scalar:
     """3 (sum d^2)^2 - 2 n sum d^4; zero exactly on the circumcircle."""
-    n = len(d_sq)
-    if n < 3:
+    if len(d_sq) < 3:
         raise OutOfRangeError("need at least 3 distances")
-    s2 = sum(d_sq)
-    s4 = sum(d * d for d in d_sq)
-    return 3 * s2 * s2 - 2 * n * s4
+    return _sphere_residual(2, d_sq)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     OutOfRangeError,
     UnattainableError,
 )
-from .fields import Scalar, is_exact, sqrt_scalar
+from .fields import Scalar, is_exact, ratio_like, sqrt_scalar
 from .geometry import heron_area_16sq
 from .polygon import power_sum_closed_sq
 
@@ -33,10 +32,6 @@ class BranchPair:
 
     def __iter__(self):
         return iter((self.plus, self.minus))
-
-
-def _ratio(num: int, den: int, template: Scalar) -> Scalar:
-    return Fraction(num, den) if is_exact(template) else num / den
 
 
 def _branch_sqrt(x: Scalar, scale: Scalar, error: type[Exception]) -> Scalar:
@@ -85,7 +80,7 @@ def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
     l_sq = L * L
     a = r_sq + l_sq
     h16 = heron_area_16sq(r_sq, l_sq, d1_sq)
-    half = _ratio(1, 2, d1_sq)
+    half = ratio_like(1, 2, d1_sq)
     if n == 3:
         # d2^2, d3^2 = (3A - d1^2 +- 4 sqrt(3) area(R, L, d1)) / 2
         t = _branch_sqrt(3 * h16, a * a, UnattainableError)
@@ -146,7 +141,7 @@ def _recover_from_triple(triple: Sequence[Scalar]) -> BranchPair:
     h16 = heron_area_16sq(*triple)
     s = sum(triple)
     t = _branch_sqrt(3 * h16, s * s, InconsistentDistancesError)
-    sixth = _ratio(1, 6, s)
+    sixth = ratio_like(1, 6, s)
     return BranchPair((sixth * (s + t), sixth * (s - t)),
                       (sixth * (s - t), sixth * (s + t)))
 
@@ -156,7 +151,7 @@ def _recover_square_window(da: Scalar, db: Scalar, dc: Scalar) -> BranchPair:
     h16 = heron_area_16sq(da, 2 * db, dc)
     s = da + db + dc
     area = _branch_sqrt(h16, s * s, InconsistentDistancesError) / 4
-    base = _ratio(1, 4, da) * (da + dc)
+    base = ratio_like(1, 4, da) * (da + dc)
     return BranchPair((base + area, base - area), (base - area, base + area))
 
 

@@ -1,33 +1,26 @@
 """Power sums of squared vertex distances for the five Platonic solids.
 
-Per-vertex closed forms as functions of R^2 and L^2 (A = R^2 + L^2):
+The vertex sets are spherical t-designs with strengths t = 2 (tetrahedron),
+3 (octahedron, cube) and 5 (icosahedron, dodecahedron), so for m = 1..t the
+per-vertex average is the design-moment formula of :mod:`cyclicavg.polygon`
+at d = 3, with A = R^2 + L^2:
 
-    m=1:  A
-    m=2:  A^2 + (4/3) R^2 L^2
-    m=3:  A^3 + 4 R^2 L^2 A
-    m=4:  A^4 + 8 R^2 L^2 A^2 + (16/5) R^4 L^4
-    m=5:  A^5 + (40/3) R^2 L^2 A^3 + 16 R^4 L^4 A
+    S^(2m) = sum_k C(m,2k) A^(m-2k) (4 R^2 L^2)^k E_3[cos^2k],
+    E_3[cos^2k] = 1/(2k+1).
 
-valid through m = 2 for the tetrahedron, m = 3 for octahedron and cube, and
-m = 5 for icosahedron and dodecahedron; beyond that the sums depend on the
-direction of the placement, not only on L.
+Beyond t the sums depend on the direction of the placement, not only on L.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    InvalidAverageError,
-    NegativeDiscriminantError,
-    NoAntipodesError,
-    OutOfRangeError,
-)
-from .fields import Scalar, is_exact, sqrt_scalar
+from .errors import NoAntipodesError, OutOfRangeError
+from .fields import Scalar, ratio_like
 from .geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
-from .polygon import CyclicAverage, Locus, _classify
+from .polygon import (CyclicAverage, Locus, _check_power, _classify, _design_sum, _finite,
+                      _recover, _sphere_residual)
 
 MAX_POWER_INDEX = {
     SolidKind.TETRAHEDRON: 2,
@@ -37,53 +30,28 @@ MAX_POWER_INDEX = {
     SolidKind.DODECAHEDRON: 5,
 }
 
-_C43 = Fraction(4, 3)
-_C165 = Fraction(16, 5)
-_C403 = Fraction(40, 3)
-
 
 def per_vertex_solid_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
     """The solid cyclic average S^(2m) in terms of R^2 and L^2 (any backend)."""
-    a = r_sq + l_sq
-    rl = r_sq * l_sq
-    if m == 1:
-        return a
-    if m == 2:
-        return a * a + _C43 * rl
-    if m == 3:
-        return a ** 3 + 4 * rl * a
-    if m == 4:
-        return a ** 4 + 8 * rl * a * a + _C165 * rl * rl
-    if m == 5:
-        return a ** 5 + _C403 * rl * a ** 3 + 16 * rl * rl * a
-    raise OutOfRangeError(f"no direction-free closed form for m={m}")
-
-
-def _check_solid_m(kind: SolidKind, m: int) -> None:
-    top = MAX_POWER_INDEX[kind]
-    if not 1 <= m <= top:
-        raise OutOfRangeError(
-            f"power index m={m} outside 1..{top} for the {kind.value}: beyond "
-            "it the sum depends on the placement's direction, not only on L"
-        )
+    _check_power(m, 5, "Platonic solids")
+    return _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
 
 
 def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
                               l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all vertices, from squared inputs."""
-    _check_solid_m(kind, m)
-    return kind.n * per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
+    _check_power(m, MAX_POWER_INDEX[kind], kind.value)
+    return _finite(kind.n * per_vertex_solid_power_sum_sq(m, r_sq, l_sq))
 
 
 def solid_power_sum_closed(spec: SolidSpec, m: int, L: Scalar) -> Scalar:
-    r_sq = spec.R_sq
     if isinstance(L, float) or isinstance(spec.c, float):
-        return solid_power_sum_closed_sq(spec.kind, m, float(r_sq), float(L) ** 2)
-    return solid_power_sum_closed_sq(spec.kind, m, r_sq, L * L)
+        L = float(L)
+        return solid_power_sum_closed_sq(spec.kind, m, float(spec.R_sq), L * L)
+    return solid_power_sum_closed_sq(spec.kind, m, spec.R_sq, L * L)
 
 
 def solid_cyclic_average(spec: SolidSpec, m: int, L: Scalar) -> CyclicAverage:
-    _check_solid_m(spec.kind, m)
     value = solid_power_sum_closed(spec, m, L) / spec.n
     return CyclicAverage(m, value, spec)
 
@@ -98,7 +66,11 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
         raise OutOfRangeError("power index m must be >= 1")
     d_sq = solid_distances_sq(spec, p)
     if any(isinstance(d, float) for d in d_sq):
-        return math.fsum(float(d) ** m for d in d_sq)
+        try:
+            total = math.fsum(float(d) ** m for d in d_sq)
+        except OverflowError:
+            total = math.inf
+        return _finite(total)
     total: Scalar = 0
     for d in d_sq:
         total = total + d ** m
@@ -107,9 +79,8 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
 
 def solid_locus_classify(spec: SolidSpec, m: int, C: Scalar) -> Locus:
     """Sphere of the unique radius, the centroid, or the empty set."""
-    _check_solid_m(spec.kind, m)
-    return _classify(spec.n, m, spec.R_sq, C, "sphere",
-                     per_vertex=per_vertex_solid_power_sum_sq)
+    _check_power(m, MAX_POWER_INDEX[spec.kind], spec.kind.value)
+    return _classify(spec.n, m, spec.R_sq, C, 3)
 
 
 def recover_r2_l2_solid(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
@@ -118,25 +89,14 @@ def recover_r2_l2_solid(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     Solves S2 = R^2 + L^2, S4 = S2^2 + (4/3) R^2 L^2; the discriminant
     4 S2^2 - 3 S4 equals (R^2 - L^2)^2 for consistent data.
     """
-    if not s2 > 0:
-        raise InvalidAverageError("S2 must be positive")
-    disc = 4 * s2 * s2 - 3 * s4
-    if disc < 0:
-        raise NegativeDiscriminantError(
-            f"4*S2^2 - 3*S4 = {disc} < 0: no real (R^2, L^2) exists")
-    root = sqrt_scalar(disc)
-    half = Fraction(1, 2) if is_exact(s2) else 0.5
-    return (half * (s2 + root), half * (s2 - root))
+    return _recover(3, s2, s4)
 
 
 def circumsphere_residual(d_sq: Sequence[Scalar]) -> Scalar:
     """4 (sum d^2)^2 - 3 n sum d^4; zero exactly on the circumsphere."""
-    n = len(d_sq)
-    if n not in (4, 6, 8, 12, 20):
+    if len(d_sq) not in (4, 6, 8, 12, 20):
         raise OutOfRangeError("need the full distance multiset of one solid")
-    s2 = sum(d_sq)
-    s4 = sum(d * d for d in d_sq)
-    return 4 * s2 * s2 - 3 * n * s4
+    return _sphere_residual(3, d_sq)
 
 
 def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
@@ -149,8 +109,8 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
     exact equality.
     """
     rows: list[tuple[str, Scalar, Scalar]] = []
-    c169 = _ratio_like(16, 9, s2)
-    c23 = _ratio_like(2, 3, s2)
+    c169 = ratio_like(16, 9, s2)
+    c23 = ratio_like(2, 3, s2)
     rows.append(("S4 + 16/9 R^4 = (S2 + 2/3 R^2)^2",
                  s4 + c169 * r_sq * r_sq, (s2 + c23 * r_sq) ** 2))
     if MAX_POWER_INDEX[kind] >= 3 and s6 is not None:
@@ -160,9 +120,9 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
                      s6, s2 * (3 * s4 - 2 * s2 * s2)))
     if MAX_POWER_INDEX[kind] >= 5 and s8 is not None and s10 is not None:
         gap = s2 - r_sq  # equals L^2
-        c25 = _ratio_like(2, 5, s2)
-        c53 = _ratio_like(5, 3, s2)
-        c15 = _ratio_like(1, 5, s2)
+        c25 = ratio_like(2, 5, s2)
+        c53 = ratio_like(5, 3, s2)
+        c15 = ratio_like(1, 5, s2)
         rows.append(("S8 - S2^4 = 8R^2 L^2 (S2^2 + 2/5 R^2 L^2)",
                      s8 - s2 ** 4,
                      8 * r_sq * gap * (s2 * s2 + c25 * r_sq * gap)))
@@ -174,10 +134,6 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
         rows.append(("S10 = S2 S4 (9 S4 - 8 S2^2)",
                      s10, s2 * s4 * (9 * s4 - 8 * s2 * s2)))
     return rows
-
-
-def _ratio_like(num: int, den: int, template: Scalar) -> Scalar:
-    return Fraction(num, den) if is_exact(template) else num / den
 
 
 _CUBE_QUADRUPLES = ((1, 3, 5, 7), (2, 4, 6, 8))

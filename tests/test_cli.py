@@ -102,6 +102,26 @@ class TestLocus:
         assert out.strip() == "empty"
 
 
+
+class TestFloatOverflow:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--polygon", "64", "--L", "1e200", "--m", "63"),
+        ("eval", "--polygon", "64", "--L", "1e10", "--m", "63"),
+        ("oracle", "--polygon", "64", "--L", "1e10", "--m", "63"),
+        ("eval", "--solid", "icosahedron", "--L", "1e80", "--m", "5"),
+    ])
+    def test_overflow_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
+    def test_locus_bisection_still_reads_overflow_as_infinite(self, capsys):
+        code, out, _ = run_cli(capsys, "locus", "--polygon", "8", "--R", "1",
+                               "--m", "7", "--C", "1e300")
+        assert code == 0
+        assert out.startswith("circle L=")
+
 class TestSolveRecover:
     def test_solve(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--polygon", "6", "--R", "1",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclicavg.errors import InexactSqrtError
+from cyclicavg.errors import DomainError, InexactSqrtError
 from cyclicavg.fields import (
     GOLDEN_RATIO,
     Surd,
@@ -48,14 +48,16 @@ class TestSurd:
         assert x * 2 == Surd(2, 4, 5)
         assert 1 + x == Surd(2, 2, 5)
         assert (x ** 3) == x * x * x
+        assert x ** 0 == 1 and x ** 1 == x and x ** 4 == x * x * x * x
 
     def test_rational_collapse_and_mixing(self):
         z = Surd(1, 1, 5) - Surd(0, 1, 5)
         assert z.is_rational and z == 1
         # a rational-valued Surd combines with any radicand
         assert z + Surd(0, 1, 3) == Surd(1, 1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             Surd(0, 1, 5) + Surd(0, 1, 3)
+        assert isinstance(exc.value, DomainError)
 
     def test_ordering_is_exact(self):
         assert Surd(0, 1, 5) > 2              # sqrt5 > 2

@@ -1,12 +1,22 @@
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
 from cyclicavg.verify import run_verify
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+DIGESTS = json.loads(WORKLOADS.read_text())["workloads"]["verify-all"]["verify_digests"]
 
-def test_all_scopes_pass_and_are_deterministic():
-    text1, ok1 = run_verify("all", 3)
-    text2, ok2 = run_verify("all", 3)
-    assert ok1 and ok2
-    assert text1 == text2
-    assert "0 failures" in text1
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_verify_text_matches_recorded_digest(seed):
+    # a fixed digest also pins determinism and the float operation order
+    text, ok = run_verify("all", seed)
+    assert ok
+    assert "0 failures" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[str(seed)]
 
 
 def test_scopes_are_subsets():
