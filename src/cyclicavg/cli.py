@@ -2,16 +2,14 @@
 
 Exit codes: 0 success, 1 usage errors, 2 domain errors (an empty locus is a
 result, not an error).  The default scalar backend is float; `--backend
-exact` or the CYCLICAVG_BACKEND environment variable switches to exact
-rationals, printed as reduced fractions (and "p + q*sqrt(5)" in the golden
-ratio field).
+exact` switches to exact rationals, printed as reduced fractions (and
+"p + q*sqrt(5)" in the golden ratio field).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -82,10 +80,8 @@ def build_parser() -> _Parser:
                      description="Distance power sums over regular polygons "
                                  "and Platonic solids.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", choices=("exact", "float"),
-                        default=os.environ.get("CYCLICAVG_BACKEND", "float"),
-                        help="scalar backend (default float, or "
-                             "CYCLICAVG_BACKEND)")
+    common.add_argument("--backend", choices=("exact", "float"), default="float",
+                        help="scalar backend (default float)")
     figure = argparse.ArgumentParser(add_help=False)
     figure.add_argument("--polygon", type=int, metavar="N",
                         help="regular polygon with N vertices")
@@ -312,8 +308,6 @@ def _cmd_plot(args, parser: _Parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", "float") not in ("exact", "float"):
-        parser.error(f"invalid backend {args.backend!r} (from CYCLICAVG_BACKEND?)")
     handlers = {
         "eval": _cmd_eval,
         "oracle": _cmd_oracle,

@@ -7,14 +7,20 @@ Two interchangeable backends flow through every formula in the library:
 * float  -- IEEE doubles, compared with a relative tolerance.
 
 All computational routines are written against the shared arithmetic protocol
-(``+ - * / ** int``), so the same code path is exact on exact inputs.
+(``+ - * / ** int``), so the same code path is exact on exact inputs.  The
+mixing rule is the one ``Fraction`` already follows: a float operand makes the
+result float, computed as the same operation on ``float(x)``.  Exact constants
+such as ``Fraction(1, 2)`` therefore serve both backends, and a float run gives
+the same bits as one written with float literals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import InexactSqrtError, MixedRadicandError
 
@@ -50,17 +56,13 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, Surd))
 
 
-def ratio_like(num: int, den: int, template: Scalar) -> Scalar:
-    """The constant num/den in template's backend: a Fraction or a float."""
-    return Fraction(num, den) if is_exact(template) else num / den
-
-
 class Surd:
     """Element ``a + b*sqrt(d)`` of a real quadratic extension of the rationals.
 
     ``a`` and ``b`` are Fractions, ``d`` a squarefree integer > 1.  A value
     with ``b == 0`` is plain rational and combines freely with Surds of any
-    radicand; mixing two distinct irrational radicands raises.
+    radicand; mixing two distinct irrational radicands raises.  A float
+    operand gives the float result ``op(float(self), other)``, as for Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -85,12 +87,18 @@ class Surd:
             return Surd(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _mixed(self, op: Callable, other: object, reflected: bool = False):
+        # only reached when _coerce declined, so the exact path pays nothing
+        if isinstance(other, float):
+            return op(other, float(self)) if reflected else op(float(self), other)
+        return NotImplemented
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._mixed(operator.add, other)
         return Surd(self.a + o.a, self.b + o.b, self.d or o.d)
 
     __radd__ = __add__
@@ -98,11 +106,14 @@ class Surd:
     def __sub__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._mixed(operator.sub, other)
         return Surd(self.a - o.a, self.b - o.b, self.d or o.d)
 
     def __rsub__(self, other: Scalar) -> "Surd":
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return self._mixed(operator.sub, other, reflected=True)
+        return Surd(o.a - self.a, o.b - self.b, self.d or o.d)
 
     def __neg__(self) -> "Surd":
         return Surd(-self.a, -self.b, self.d)
@@ -110,7 +121,7 @@ class Surd:
     def __mul__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._mixed(operator.mul, other)
         d = self.d or o.d
         return Surd(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
 
@@ -119,14 +130,17 @@ class Surd:
     def __truediv__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
+            return self._mixed(operator.truediv, other)
         if o.b == 0:
             return Surd(self.a / o.a, self.b / o.a, self.d)
         norm = o.a * o.a - o.b * o.b * o.d
         return self * Surd(o.a / norm, -o.b / norm, o.d)
 
     def __rtruediv__(self, other: Scalar) -> "Surd":
-        return Surd(other) / self
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return self._mixed(operator.truediv, other, reflected=True)
+        return o / self
 
     def __pow__(self, n: int) -> "Surd":
         if not isinstance(n, int) or n < 0:
@@ -144,11 +158,9 @@ class Surd:
     # -- structure -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, float):
-            return float(self) == other
-        if not isinstance(other, (int, Fraction, Surd)):
-            return NotImplemented
         o = self._coerce(other)
+        if o is NotImplemented:
+            return self._mixed(operator.eq, other)
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
@@ -174,29 +186,23 @@ class Surd:
             return 0
         return lead if diff > 0 else -lead
 
-    def __lt__(self, other: Scalar) -> bool:
+    def _compare(self, other: Scalar, op: Callable[[int, int], bool]) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
+            return self._mixed(op, other)
+        return op((self - o).sign(), 0)
+
+    def __lt__(self, other: Scalar) -> bool:
+        return self._compare(other, operator.lt)
 
     def __le__(self, other: Scalar) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other: Scalar) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other: Scalar) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        return self._compare(other, operator.ge)
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -212,13 +218,6 @@ class Surd:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    @property
-    def rational_part(self) -> Fraction:
-        return self.a
-
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.d)
 
     def sqrt(self) -> "Surd | None":
         """Exact square root within the same field, or None."""
@@ -266,57 +265,54 @@ def sqrt_scalar(x: Scalar) -> Scalar:
 
 _HALF = Fraction(1, 2)
 
-# cos(2*pi*k/N) for one full cycle, for every N whose cosines live in a single
-# quadratic field.  Index k runs 0..N-1.
-_COS_CYCLES: dict[int, tuple] = {
-    1: (Fraction(1),),
-    2: (Fraction(1), Fraction(-1)),
-    3: (Fraction(1), -_HALF, -_HALF),
-    4: (Fraction(1), Fraction(0), Fraction(-1), Fraction(0)),
-    6: (Fraction(1), _HALF, -_HALF, Fraction(-1), -_HALF, _HALF),
-    8: (
-        Fraction(1),
-        Surd(0, _HALF, 2),
-        Fraction(0),
-        Surd(0, -_HALF, 2),
-        Fraction(-1),
-        Surd(0, -_HALF, 2),
-        Fraction(0),
-        Surd(0, _HALF, 2),
-    ),
-    12: (
-        Fraction(1),
-        Surd(0, _HALF, 3),
-        _HALF,
-        Fraction(0),
-        -_HALF,
-        Surd(0, -_HALF, 3),
-        Fraction(-1),
-        Surd(0, -_HALF, 3),
-        -_HALF,
-        Fraction(0),
-        _HALF,
-        Surd(0, _HALF, 3),
-    ),
+# cos(2*pi*t) at the first-quadrant turns t whose cosine lies in Q, Q(sqrt 2)
+# or Q(sqrt 3); every other turn of an exact cycle folds onto one of these.
+_QUADRANT_COS = {
+    Fraction(0): Fraction(1),
+    Fraction(1, 12): Surd(0, _HALF, 3),
+    Fraction(1, 8): Surd(0, _HALF, 2),
+    Fraction(1, 6): _HALF,
+    Fraction(1, 4): Fraction(0),
 }
 
 
+def _exact_cos_turn(t: Fraction) -> Scalar | None:
+    """cos(2*pi*t) for t in [0, 1), folded by cos(-x) = cos x, cos(pi-x) = -cos x."""
+    t = min(t, 1 - t)
+    if t > Fraction(1, 4):
+        value = _QUADRANT_COS.get(Fraction(1, 2) - t)
+        return None if value is None else -value
+    return _QUADRANT_COS.get(t)
+
+
+@functools.lru_cache(maxsize=64)
 def exact_cos_cycle(n: int) -> tuple | None:
-    """Exact values cos(2*pi*k/n), k = 0..n-1, when representable; else None."""
-    return _COS_CYCLES.get(n)
+    """Exact values cos(2*pi*k/n), k = 0..n-1, when representable; else None.
 
-
-def exact_cos_sq_cycle(n: int) -> tuple | None:
-    """Exact cos^2(2*pi*k/n), k = 0..n-1.
-
-    Available for every n with an exact cosine cycle and additionally for
-    n = 24, where the half-angle identity cos^2 t = (1 + cos 2t)/2 pulls the
-    squares down into the field of the n = 12 cycle.
+    Representable for the divisors of 24 except 24 itself: n = 1, 2, 3, 4, 6,
+    8, 12.
     """
-    cycle = _COS_CYCLES.get(n)
-    if cycle is not None:
-        return tuple(c * c for c in cycle)
-    if n % 2 == 0 and (_COS_CYCLES.get(n // 2)) is not None:
-        half = _COS_CYCLES[n // 2]
-        return tuple((half[k % (n // 2)] + 1) * _HALF for k in range(n))
-    return None
+    if n < 1:
+        return None
+    cycle = []
+    for k in range(n):
+        value = _exact_cos_turn(Fraction(k, n))
+        if value is None:
+            return None
+        cycle.append(value)
+    return tuple(cycle)
+
+
+@functools.lru_cache(maxsize=64)
+def exact_cos_sq_cycle(n: int) -> tuple | None:
+    """Exact cos^2(2*pi*k/n), k = 0..n-1, by cos^2 t = (1 + cos 2t)/2.
+
+    The doubled angles run over the cycle of n/gcd(n, 2), so the squares exist
+    for every n with an exact cosine cycle and also for n = 16 and 24, whose
+    own cosines need a deeper field.
+    """
+    g = math.gcd(n, 2)
+    double = exact_cos_cycle(n // g)
+    if double is None:
+        return None
+    return tuple((1 + double[2 * k % n // g]) * _HALF for k in range(n))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfRangeError
-from .fields import GOLDEN_RATIO, Scalar, is_exact
+from .fields import GOLDEN_RATIO, Scalar
 
 Triple = tuple[Scalar, Scalar, Scalar]
 
@@ -75,12 +75,12 @@ _VERTEX_COUNT = {
     SolidKind.DODECAHEDRON: 20,
 }
 
-# R^2 = (factor) * c^2 for the rational-R^2 solids; the icosahedron has
-# R^2 = (1 + phi^2) c^2, handled separately to stay exact in Q(sqrt 5).
+# R^2 = (factor) * c^2; the icosahedron's factor 1 + phi^2 lies in Q(sqrt 5).
 _R_SQ_FACTOR = {
     SolidKind.TETRAHEDRON: 3,
     SolidKind.OCTAHEDRON: 1,
     SolidKind.CUBE: 3,
+    SolidKind.ICOSAHEDRON: 1 + GOLDEN_RATIO ** 2,
     SolidKind.DODECAHEDRON: 3,
 }
 
@@ -98,11 +98,7 @@ class SolidSpec:
 
     @classmethod
     def from_circumradius(cls, kind: SolidKind, R: float) -> "SolidSpec":
-        if kind is SolidKind.ICOSAHEDRON:
-            c = R / math.sqrt(1.0 + float(GOLDEN_RATIO) ** 2)
-        else:
-            c = R / math.sqrt(_R_SQ_FACTOR[kind])
-        return cls(kind, c)
+        return cls(kind, R / math.sqrt(_R_SQ_FACTOR[kind]))
 
     @property
     def n(self) -> int:
@@ -110,12 +106,7 @@ class SolidSpec:
 
     @property
     def R_sq(self) -> Scalar:
-        c_sq = self.c * self.c
-        if self.kind is SolidKind.ICOSAHEDRON:
-            if is_exact(self.c):
-                return c_sq * (1 + GOLDEN_RATIO * GOLDEN_RATIO)
-            return c_sq * (1.0 + float(GOLDEN_RATIO) ** 2)
-        return _R_SQ_FACTOR[self.kind] * c_sq
+        return _R_SQ_FACTOR[self.kind] * (self.c * self.c)
 
     @property
     def R(self) -> float:
@@ -195,10 +186,8 @@ _SIDE_SQ_FACTOR = {3: Fraction(3), 4: Fraction(2), 6: Fraction(1)}
 def polygon_side_sq(n: int, R_sq: Scalar) -> Scalar:
     """Squared side a^2 = 4 R^2 sin^2(pi/n); exact for n in {3, 4, 6}."""
     factor = _SIDE_SQ_FACTOR.get(n)
-    if factor is not None and is_exact(R_sq):
-        return factor * R_sq
     if factor is not None:
-        return float(factor) * R_sq
+        return factor * R_sq
     return 4.0 * float(R_sq) * math.sin(math.pi / n) ** 2
 
 
@@ -216,7 +205,6 @@ def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
     Exact inputs give exact coordinates; the two golden-ratio solids then
     carry Surd components in Q(sqrt 5).
     """
-    phi: Scalar = GOLDEN_RATIO if is_exact(c) else float(GOLDEN_RATIO)
     if kind is SolidKind.TETRAHEDRON:
         return (
             _signed(c, (1, 1, 1)),
@@ -239,7 +227,7 @@ def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
             _signed(c, (-1, 1, 1)), _signed(c, (1, -1, -1)),
         )
     if kind is SolidKind.ICOSAHEDRON:
-        f = c * phi
+        f = c * GOLDEN_RATIO
         zero = c - c
         return (
             (zero, c, f), (zero, -c, -f),
@@ -250,8 +238,8 @@ def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
             (f, zero, -c), (-f, zero, c),
         )
     if kind is SolidKind.DODECAHEDRON:
-        f = c * phi
-        g = c / phi
+        f = c * GOLDEN_RATIO
+        g = c / GOLDEN_RATIO
         zero = c - c
         return solid_vertices(SolidKind.CUBE, c) + (
             (zero, g, f), (zero, -g, -f),

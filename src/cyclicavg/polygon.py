@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .errors import InvalidAverageError, NegativeDiscriminantError, OutOfRangeError
-from .fields import (Rational, Scalar, exact_cos_cycle, exact_cos_sq_cycle, is_exact,
-                     ratio_like, sqrt_scalar)
+from .fields import Rational, Scalar, exact_cos_cycle, exact_cos_sq_cycle, is_exact, sqrt_scalar
 from .geometry import (
     PlanePlacement,
     PolygonSpec,
@@ -31,6 +30,9 @@ from .geometry import (
     distance_sq_from_cos,
     polygon_distance_sq,
 )
+
+
+_HALF = Fraction(1, 2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,15 +223,19 @@ def _classify(n: int, m: int, r_sq: Scalar, C: Scalar, dim: int) -> Locus:
     """Locus for an n-vertex design in dimension dim (2: circle, 3: sphere)."""
     if not C > 0:
         raise OutOfRangeError("the constant must be positive")
-    centre_value = n * r_sq ** m
     if is_exact(C) and is_exact(r_sq):
+        centre_value = n * r_sq ** m
         if C == centre_value:
             return Locus("centroid")
         if C < centre_value:
             return Locus("empty")
     else:
+        try:
+            nf = float(n * r_sq ** m)
+        except OverflowError:
+            nf = math.inf
+        nf = _finite(nf)
         cf = float(C)
-        nf = float(centre_value)
         if abs(cf - nf) <= 1e-12 * nf:
             return Locus("centroid")
         if cf < nf:
@@ -263,8 +269,7 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
         raise NegativeDiscriminantError(
             f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
     root = sqrt_scalar(disc)
-    half = ratio_like(1, 2, s2)
-    return (half * (s2 + root), half * (s2 - root))
+    return (_HALF * (s2 + root), _HALF * (s2 - root))
 
 
 def recover_r2_l2(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
@@ -292,7 +297,7 @@ def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:
     gap = s4 - s2 * s2
     if gap < 0:
         raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
-    return _finite(_design_sum(m, 2, s2, ratio_like(1, 2, gap) * gap))
+    return _finite(_design_sum(m, 2, s2, _HALF * gap))
 
 
 def _sphere_residual(dim: int, d_sq: Sequence[Scalar]) -> Scalar:

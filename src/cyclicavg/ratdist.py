@@ -67,7 +67,7 @@ def quartic_witness(s2: Scalar, s4: Scalar) -> QuarticWitness:
     if not gap > 0:
         raise DegenerateQuarticError(
             "S4 - S2^2 must be positive (the placement must have R > 0 and L > 0)")
-    return QuarticWitness(8 * gap, -4 * s2, 1 if not isinstance(s2, float) else 1.0)
+    return QuarticWitness(8 * gap, -4 * s2, 1)
 
 
 def sin_pi_24_float() -> float:

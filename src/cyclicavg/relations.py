@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import (
@@ -18,9 +19,13 @@ from .errors import (
     OutOfRangeError,
     UnattainableError,
 )
-from .fields import Scalar, is_exact, ratio_like, sqrt_scalar
+from .fields import Scalar, is_exact, sqrt_scalar
 from .geometry import heron_area_16sq
 from .polygon import power_sum_closed_sq
+
+_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
+_SIXTH = Fraction(1, 6)
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,11 @@ def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
     l_sq = L * L
     a = r_sq + l_sq
     h16 = heron_area_16sq(r_sq, l_sq, d1_sq)
-    half = ratio_like(1, 2, d1_sq)
     if n == 3:
         # d2^2, d3^2 = (3A - d1^2 +- 4 sqrt(3) area(R, L, d1)) / 2
         t = _branch_sqrt(3 * h16, a * a, UnattainableError)
-        plus = (d1_sq, half * (3 * a - d1_sq + t), half * (3 * a - d1_sq - t))
-        minus = (d1_sq, half * (3 * a - d1_sq - t), half * (3 * a - d1_sq + t))
+        plus = (d1_sq, _HALF * (3 * a - d1_sq + t), _HALF * (3 * a - d1_sq - t))
+        minus = (d1_sq, _HALF * (3 * a - d1_sq - t), _HALF * (3 * a - d1_sq + t))
         return BranchPair(plus, minus)
     if n == 4:
         # d2^2, d4^2 = A +- 4 area;  d3^2 = 2A - d1^2
@@ -97,10 +101,10 @@ def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
         # d3^2, d5^2 = (3A - d1^2 +- 4 sqrt(3) area)/2;  d4^2 = 2A - d1^2
         t = _branch_sqrt(3 * h16, a * a, UnattainableError)
         d4 = 2 * a - d1_sq
-        plus = (d1_sq, half * (a + d1_sq + t), half * (3 * a - d1_sq + t),
-                d4, half * (3 * a - d1_sq - t), half * (a + d1_sq - t))
-        minus = (d1_sq, half * (a + d1_sq - t), half * (3 * a - d1_sq - t),
-                 d4, half * (3 * a - d1_sq + t), half * (a + d1_sq + t))
+        plus = (d1_sq, _HALF * (a + d1_sq + t), _HALF * (3 * a - d1_sq + t),
+                d4, _HALF * (3 * a - d1_sq - t), _HALF * (a + d1_sq - t))
+        minus = (d1_sq, _HALF * (a + d1_sq - t), _HALF * (3 * a - d1_sq - t),
+                 d4, _HALF * (3 * a - d1_sq + t), _HALF * (a + d1_sq + t))
         return BranchPair(plus, minus)
     raise OutOfRangeError("explicit distance solvers exist for n in {3, 4, 6} only")
 
@@ -141,9 +145,8 @@ def _recover_from_triple(triple: Sequence[Scalar]) -> BranchPair:
     h16 = heron_area_16sq(*triple)
     s = sum(triple)
     t = _branch_sqrt(3 * h16, s * s, InconsistentDistancesError)
-    sixth = ratio_like(1, 6, s)
-    return BranchPair((sixth * (s + t), sixth * (s - t)),
-                      (sixth * (s - t), sixth * (s + t)))
+    return BranchPair((_SIXTH * (s + t), _SIXTH * (s - t)),
+                      (_SIXTH * (s - t), _SIXTH * (s + t)))
 
 
 def _recover_square_window(da: Scalar, db: Scalar, dc: Scalar) -> BranchPair:
@@ -151,7 +154,7 @@ def _recover_square_window(da: Scalar, db: Scalar, dc: Scalar) -> BranchPair:
     h16 = heron_area_16sq(da, 2 * db, dc)
     s = da + db + dc
     area = _branch_sqrt(h16, s * s, InconsistentDistancesError) / 4
-    base = ratio_like(1, 4, da) * (da + dc)
+    base = _QUARTER * (da + dc)
     return BranchPair((base + area, base - area), (base - area, base + area))
 
 

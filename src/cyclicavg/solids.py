@@ -14,10 +14,11 @@ Beyond t the sums depend on the direction of the placement, not only on L.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoAntipodesError, OutOfRangeError
-from .fields import Scalar, ratio_like
+from .fields import Scalar
 from .geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from .polygon import (CyclicAverage, Locus, _check_power, _classify, _design_sum, _finite,
                       _recover, _sphere_residual)
@@ -29,11 +30,13 @@ MAX_POWER_INDEX = {
     SolidKind.ICOSAHEDRON: 5,
     SolidKind.DODECAHEDRON: 5,
 }
+_MAX_SOLID_POWER = max(MAX_POWER_INDEX.values())
+_SOLID_VERTEX_COUNTS = frozenset(kind.n for kind in SolidKind)
 
 
 def per_vertex_solid_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
     """The solid cyclic average S^(2m) in terms of R^2 and L^2 (any backend)."""
-    _check_power(m, 5, "Platonic solids")
+    _check_power(m, _MAX_SOLID_POWER, "Platonic solids")
     return _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
 
 
@@ -45,9 +48,6 @@ def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
 
 
 def solid_power_sum_closed(spec: SolidSpec, m: int, L: Scalar) -> Scalar:
-    if isinstance(L, float) or isinstance(spec.c, float):
-        L = float(L)
-        return solid_power_sum_closed_sq(spec.kind, m, float(spec.R_sq), L * L)
     return solid_power_sum_closed_sq(spec.kind, m, spec.R_sq, L * L)
 
 
@@ -94,7 +94,7 @@ def recover_r2_l2_solid(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
 
 def circumsphere_residual(d_sq: Sequence[Scalar]) -> Scalar:
     """4 (sum d^2)^2 - 3 n sum d^4; zero exactly on the circumsphere."""
-    if len(d_sq) not in (4, 6, 8, 12, 20):
+    if len(d_sq) not in _SOLID_VERTEX_COUNTS:
         raise OutOfRangeError("need the full distance multiset of one solid")
     return _sphere_residual(3, d_sq)
 
@@ -109,10 +109,8 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
     exact equality.
     """
     rows: list[tuple[str, Scalar, Scalar]] = []
-    c169 = ratio_like(16, 9, s2)
-    c23 = ratio_like(2, 3, s2)
     rows.append(("S4 + 16/9 R^4 = (S2 + 2/3 R^2)^2",
-                 s4 + c169 * r_sq * r_sq, (s2 + c23 * r_sq) ** 2))
+                 s4 + Fraction(16, 9) * r_sq * r_sq, (s2 + Fraction(2, 3) * r_sq) ** 2))
     if MAX_POWER_INDEX[kind] >= 3 and s6 is not None:
         rows.append(("S6 = S2((S2 + 2R^2)^2 - 8R^4)",
                      s6, s2 * ((s2 + 2 * r_sq) ** 2 - 8 * r_sq * r_sq)))
@@ -120,17 +118,14 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
                      s6, s2 * (3 * s4 - 2 * s2 * s2)))
     if MAX_POWER_INDEX[kind] >= 5 and s8 is not None and s10 is not None:
         gap = s2 - r_sq  # equals L^2
-        c25 = ratio_like(2, 5, s2)
-        c53 = ratio_like(5, 3, s2)
-        c15 = ratio_like(1, 5, s2)
         rows.append(("S8 - S2^4 = 8R^2 L^2 (S2^2 + 2/5 R^2 L^2)",
                      s8 - s2 ** 4,
-                     8 * r_sq * gap * (s2 * s2 + c25 * r_sq * gap)))
+                     8 * r_sq * gap * (s2 * s2 + Fraction(2, 5) * r_sq * gap)))
         rows.append(("S10 - S2^5 = 8R^2 S2 L^2 (5/3 S2^2 + 2 R^2 L^2)",
                      s10 - s2 ** 5,
-                     8 * r_sq * s2 * gap * (c53 * s2 * s2 + 2 * r_sq * gap)))
+                     8 * r_sq * s2 * gap * (Fraction(5, 3) * s2 * s2 + 2 * r_sq * gap)))
         rows.append(("S8 = (9 S4^2 + 12 S4 S2^2 - 16 S2^4)/5",
-                     s8, c15 * (9 * s4 * s4 + 12 * s4 * s2 * s2 - 16 * s2 ** 4)))
+                     s8, Fraction(1, 5) * (9 * s4 * s4 + 12 * s4 * s2 * s2 - 16 * s2 ** 4)))
         rows.append(("S10 = S2 S4 (9 S4 - 8 S2^2)",
                      s10, s2 * s4 * (9 * s4 - 8 * s2 * s2)))
     return rows

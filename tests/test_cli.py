@@ -109,6 +109,10 @@ class TestFloatOverflow:
         ("eval", "--polygon", "64", "--L", "1e10", "--m", "63"),
         ("oracle", "--polygon", "64", "--L", "1e10", "--m", "63"),
         ("eval", "--solid", "icosahedron", "--L", "1e80", "--m", "5"),
+        # the centre value n R^(2m): R^(2m) itself overflows
+        ("locus", "--polygon", "8", "--R", "1e30", "--m", "7", "--C", "1"),
+        # only the factor n overflows; an inf centre must not read as "centroid"
+        ("locus", "--polygon", "8", "--R", "1e22", "--m", "7", "--C", "1"),
     ])
     def test_overflow_is_a_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -227,10 +231,3 @@ class TestReportsAndSweeps:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "0 failures" in out1
-
-    def test_backend_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYCLICAVG_BACKEND", "exact")
-        code, out, _ = run_cli(capsys, "eval", "--polygon", "4", "--R", "1/2",
-                               "--L", "0", "--m", "1")
-        assert code == 0
-        assert out.strip() == "1"  # 4 * (1/4 + 0)

@@ -70,6 +70,17 @@ class TestSurd:
     def test_float_conversion(self):
         assert math.isclose(float(GOLDEN_RATIO), (1 + math.sqrt(5)) / 2)
 
+    def test_float_operand_gives_float(self):
+        phi = float(GOLDEN_RATIO)
+        for value, expected in ((GOLDEN_RATIO + 0.5, phi + 0.5),
+                                (0.5 - GOLDEN_RATIO, 0.5 - phi),
+                                (3.0 * GOLDEN_RATIO, 3.0 * phi),
+                                (1.5 / GOLDEN_RATIO, 1.5 / phi)):
+            assert type(value) is float and value == expected
+        # the float is not silently made exact
+        assert 0.1 / Surd(1) == 0.1 and type(0.1 / Surd(1)) is float
+        assert GOLDEN_RATIO < 1.7 and 1.6 < GOLDEN_RATIO
+
     def test_sqrt_in_field(self):
         phi = GOLDEN_RATIO
         sq = phi * phi
@@ -86,7 +97,10 @@ class TestSurd:
         assert 1 / (phi * phi) + phi * phi == 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12])
+EXACT_CYCLES = (1, 2, 3, 4, 6, 8, 12)
+
+
+@pytest.mark.parametrize("n", EXACT_CYCLES)
 def test_cos_cycles_match_float(n):
     cycle = exact_cos_cycle(n)
     assert cycle is not None and len(cycle) == n
@@ -100,6 +114,22 @@ def test_cos_sq_cycle_24():
     for k, value in enumerate(cycle):
         assert abs(float(value) - math.cos(2 * math.pi * k / 24) ** 2) < 1e-15
     assert exact_cos_cycle(24) is None  # the plain cosines need a deeper field
+
+
+@pytest.mark.parametrize("n", EXACT_CYCLES)
+def test_derived_cycles_obey_double_angle(n):
+    cos, cos_sq = exact_cos_cycle(n), exact_cos_sq_cycle(n)
+    for k in range(n):
+        assert 2 * cos[k] ** 2 - 1 == cos[2 * k % n]
+        assert cos_sq[k] == cos[k] ** 2
+
+
+def test_exact_cycles_exist_only_where_tabulated():
+    for n in range(-1, 50):
+        assert (exact_cos_cycle(n) is not None) == (n in EXACT_CYCLES)
+        has_sq = n in EXACT_CYCLES or n in (16, 24)
+        assert (exact_cos_sq_cycle(n) is not None) == has_sq
+    assert exact_cos_cycle(5) is None and exact_cos_cycle(24) is None
 
 
 def test_rel_close():
