@@ -53,7 +53,6 @@ from .polygon import (
     locus_classify,
     polygon_distances_sq_exact,
     power_sum_brute,
-    power_sum_brute_even_exact,
     power_sum_brute_exact,
     power_sum_closed,
     power_sum_closed_sq,

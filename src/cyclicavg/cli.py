@@ -57,9 +57,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_number(text: str, exact: bool) -> Scalar:
     try:
         value = Fraction(text)
+        return value if exact else float(value)
     except (ValueError, ZeroDivisionError):
         raise OutOfRangeError(f"cannot parse number {text!r}")
-    return value if exact else float(value)
+    except OverflowError:
+        raise OutOfRangeError(f"number {text!r} overflows a float; "
+                              "use the exact backend")
 
 
 def format_scalar(x: Scalar) -> str:
@@ -209,8 +212,8 @@ def _cmd_oracle(args, parser: _Parser) -> int:
             alpha = math.radians(alpha)
         if exact:
             if alpha != 0.0:
-                raise DomainError("the exact polygon oracle runs at alpha = 0 "
-                                  "(rational-cosine angles only)")
+                raise DomainError("the exact polygon oracle runs at alpha = 0; "
+                                  "use the float backend for other angles")
             value = power_sum_brute_exact(fig.n, args.m, fig.R,
                                           _parse_number(args.L, True))
         else:

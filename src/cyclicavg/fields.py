@@ -3,7 +3,7 @@
 Two interchangeable backends flow through every formula in the library:
 
 * exact  -- ``fractions.Fraction``, extended where needed by :class:`Surd`
-  values ``a + b*sqrt(d)`` (the geometry only ever needs d in {2, 3, 5}),
+  values ``a + b*sqrt(d)`` (the golden-ratio solids need d = 5),
 * float  -- IEEE doubles, compared with a relative tolerance.
 
 All computational routines are written against the shared arithmetic protocol
@@ -16,7 +16,6 @@ the same bits as one written with float literals.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -262,57 +261,3 @@ def sqrt_scalar(x: Scalar) -> Scalar:
         return r
     return math.sqrt(x)
 
-
-_HALF = Fraction(1, 2)
-
-# cos(2*pi*t) at the first-quadrant turns t whose cosine lies in Q, Q(sqrt 2)
-# or Q(sqrt 3); every other turn of an exact cycle folds onto one of these.
-_QUADRANT_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 12): Surd(0, _HALF, 3),
-    Fraction(1, 8): Surd(0, _HALF, 2),
-    Fraction(1, 6): _HALF,
-    Fraction(1, 4): Fraction(0),
-}
-
-
-def _exact_cos_turn(t: Fraction) -> Scalar | None:
-    """cos(2*pi*t) for t in [0, 1), folded by cos(-x) = cos x, cos(pi-x) = -cos x."""
-    t = min(t, 1 - t)
-    if t > Fraction(1, 4):
-        value = _QUADRANT_COS.get(Fraction(1, 2) - t)
-        return None if value is None else -value
-    return _QUADRANT_COS.get(t)
-
-
-@functools.lru_cache(maxsize=64)
-def exact_cos_cycle(n: int) -> tuple | None:
-    """Exact values cos(2*pi*k/n), k = 0..n-1, when representable; else None.
-
-    Representable for the divisors of 24 except 24 itself: n = 1, 2, 3, 4, 6,
-    8, 12.
-    """
-    if n < 1:
-        return None
-    cycle = []
-    for k in range(n):
-        value = _exact_cos_turn(Fraction(k, n))
-        if value is None:
-            return None
-        cycle.append(value)
-    return tuple(cycle)
-
-
-@functools.lru_cache(maxsize=64)
-def exact_cos_sq_cycle(n: int) -> tuple | None:
-    """Exact cos^2(2*pi*k/n), k = 0..n-1, by cos^2 t = (1 + cos 2t)/2.
-
-    The doubled angles run over the cycle of n/gcd(n, 2), so the squares exist
-    for every n with an exact cosine cycle and also for n = 16 and 24, whose
-    own cosines need a deeper field.
-    """
-    g = math.gcd(n, 2)
-    double = exact_cos_cycle(n // g)
-    if double is None:
-        return None
-    return tuple((1 + double[2 * k % n // g]) * _HALF for k in range(n))

@@ -20,6 +20,7 @@ budget surfaces as "inconclusive", never as a certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -96,20 +97,44 @@ def poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def divides(candidate: IntegerPolynomial, target: IntegerPolynomial) -> bool:
-    """Exact divisibility over the rationals, by fraction-free long division."""
-    if candidate.is_zero() or candidate.degree == 0:
-        return not candidate.is_zero()
-    rem = [Fraction(c) for c in target.coeffs]
-    div = [Fraction(c) for c in candidate.coeffs]
-    if len(rem) < len(div):
-        return False
-    for i in range(len(rem) - len(div), -1, -1):
-        f = rem[i + len(div) - 1] / div[-1]
+def divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic integer polynomial b.
+
+    The remainder always has len(b) - 1 coefficients, so residues mod b are
+    fixed-length vectors.
+    """
+    k = len(b) - 1
+    rem = list(a) + [0] * max(0, k - len(a))
+    quo = [0] * max(1, len(rem) - k)
+    for i in range(len(rem) - 1 - k, -1, -1):
+        f = rem[i + k]
         if f:
-            for j, y in enumerate(div):
+            quo[i] = f
+            for j, y in enumerate(b):
                 rem[i + j] -= f * y
-    return all(c == 0 for c in rem)
+    return quo, rem[:k]
+
+
+@functools.lru_cache(maxsize=128)
+def cyclotomic(n: int) -> IntegerPolynomial:
+    """Phi_n: x^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    if n < 1:
+        raise OutOfRangeError(f"no cyclotomic polynomial of order {n}")
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        p = divmod_monic(p, cyclotomic(d).coeffs)[0]
+    return IntegerPolynomial(tuple(p))
+
+
+def divides(candidate: IntegerPolynomial, target: IntegerPolynomial) -> bool:
+    """Exact divisibility over the rationals; a zero candidate divides nothing."""
+    if candidate.degree == 0:
+        return not candidate.is_zero()
+    if target.degree < candidate.degree:
+        return False
+    rem = _frac_poly_mod([Fraction(c) for c in target.coeffs],
+                         [Fraction(c) for c in candidate.coeffs])
+    return not any(rem)
 
 
 def rational_roots(p: IntegerPolynomial) -> list[Fraction]:

@@ -15,21 +15,22 @@ the brute-force oracles remain available for every m.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .errors import InvalidAverageError, NegativeDiscriminantError, OutOfRangeError
-from .fields import Rational, Scalar, exact_cos_cycle, exact_cos_sq_cycle, is_exact, sqrt_scalar
-from .geometry import (
-    PlanePlacement,
-    PolygonSpec,
-    SolidSpec,
-    distance_sq_from_cos,
-    polygon_distance_sq,
+from .errors import (
+    InvalidAverageError,
+    NegativeDiscriminantError,
+    NonRationalInputError,
+    OutOfRangeError,
 )
+from .fields import Rational, Scalar, is_exact, sqrt_scalar
+from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distance_sq, sum_basis
+from .intpoly import cyclotomic, divmod_monic, poly_mul
 
 
 _HALF = Fraction(1, 2)
@@ -115,67 +116,83 @@ def power_sum_brute(spec: PolygonSpec, m: int, p: PlanePlacement) -> float:
     return _finite(total)
 
 
-def polygon_distances_sq_exact(n: int, R: Scalar, L: Scalar,
-                               cycle_n: int | None = None,
-                               offset: int = 0) -> tuple[Scalar, ...]:
-    """Exact squared distances at angles with representable cosines.
+def _vertex_elements(n: int, R: Rational, L: Rational, cycle_n: int | None,
+                     offset: int) -> tuple[int, list[tuple[int, ...]], tuple[int, ...]]:
+    """(2D, [2D d_i^2 for i = 0..n-1], Phi_N): distances in Z[x]/Phi_N, x = zeta_N.
 
-    The placement angle is alpha = offset * 2*pi/cycle_n, with cycle_n a
-    multiple of n drawn from the exact cosine tables; default alpha = 0 on
-    the polygon's own cycle.  R and L must be exact.
+    The placement angle is alpha = offset * 2*pi/N with N = cycle_n (default
+    n), so vertex i sits at the turn e = offset - i*N/n of the N-cycle.  With
+    A = R^2 + L^2 = a/D and B = 2RL = b/D over one denominator D and
+    2 cos(2*pi*e/N) = x^e + x^-e, vertex i gives 2D d_i^2 = 2a - b (x^e + x^-e).
     """
-    cyc = cycle_n or n
-    table = exact_cos_cycle(cyc)
-    if table is None or cyc % n != 0:
-        raise OutOfRangeError(f"no exact cosine cycle for n={n} (cycle {cyc})")
-    step = cyc // n
-    return tuple(distance_sq_from_cos(R, L, table[(offset - i * step) % cyc])
-                 for i in range(n))
+    if not (isinstance(R, (int, Fraction)) and isinstance(L, (int, Fraction))):
+        raise NonRationalInputError("the exact polygon oracle needs int or Fraction R and L")
+    N = cycle_n or n
+    if n < 1 or N < 1 or N % n:
+        raise OutOfRangeError(f"cycle {N} is not a positive multiple of n={n}")
+    A, B = sum_basis(Fraction(R), Fraction(L))
+    D = math.lcm(A.denominator, B.denominator)
+    a, b = int(A * D), int(B * D)
+    phi = cyclotomic(N).coeffs
+    by_turn: dict[int, tuple[int, ...]] = {}
+    out = []
+    for i in range(n):
+        e = (offset - i * (N // n)) % N
+        e = min(e, N - e)  # cos is even: mirror vertices share one element
+        if e not in by_turn:
+            x_e = [0] * N
+            x_e[e] += 1
+            x_e[-e % N] += 1
+            v = [-b * c for c in divmod_monic(x_e, phi)[1]]
+            v[0] += 2 * a
+            by_turn[e] = tuple(v)
+        out.append(by_turn[e])
+    return 2 * D, out, phi
 
 
-def power_sum_brute_exact(n: int, m: int, R: Scalar, L: Scalar,
-                          cycle_n: int | None = None, offset: int = 0) -> Scalar:
-    """Exact oracle: sum of d^(2m) at a rational-cosine placement angle."""
+def polygon_distances_sq_exact(n: int, R: Rational, L: Rational,
+                               cycle_n: int | None = None,
+                               offset: int = 0) -> tuple[Fraction, ...]:
+    """Exact squared distances at alpha = offset * 2*pi/cycle_n, all rational.
+
+    cycle_n is a multiple of n (default n).  Where a vertex's squared distance
+    is irrational this raises OutOfRangeError; power_sum_brute_exact still
+    sums such placements exactly.
+    """
+    scale, elements, _ = _vertex_elements(n, R, L, cycle_n, offset)
+    if any(any(v[1:]) for v in elements):
+        raise OutOfRangeError(f"irrational squared distances for n={n} on cycle "
+                              f"{cycle_n or n} at offset {offset}")
+    return tuple(Fraction(v[0], scale) for v in elements)
+
+
+def power_sum_brute_exact(n: int, m: int, R: Rational, L: Rational,
+                          cycle_n: int | None = None, offset: int = 0) -> Fraction:
+    """Exact oracle: sum of d^(2m) at alpha = offset * 2*pi/cycle_n.
+
+    Each distinct vertex element of Z[x]/Phi_N is raised to the m-th power
+    once and weighted by its vertex count.  A rational sum has every
+    non-constant coordinate zero, so any other result raises OutOfRangeError
+    instead of being truncated.  The closed form is never consulted.
+    """
     if m < 1:
         raise OutOfRangeError("power index m must be >= 1")
-    total: Scalar = 0
-    for d_sq in polygon_distances_sq_exact(n, R, L, cycle_n, offset):
-        total = total + d_sq ** m
-    return total
-
-
-def power_sum_brute_even_exact(n: int, m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
-    """Exact oracle for even n at alpha = 0, parameterised by R^2 and L^2.
-
-    Antipodal vertices are summed in pairs: with c = cos of the vertex angle,
-
-        (A - Bc)^m + (A + Bc)^m = 2 * sum_{j even} C(m,j) A^(m-j) (B^2 c^2)^(j/2),
-
-    which only ever needs cos^2 of the vertex angles and B^2 = 4 R^2 L^2.
-    This reaches cycles (n = 24) whose cosines are not themselves quadratic
-    surds, and it never touches the closed form being checked.
-    """
-    if n % 2 != 0:
-        raise OutOfRangeError("antipodal pairing needs an even vertex count")
-    cos_sq = exact_cos_sq_cycle(n)
-    if cos_sq is None:
-        raise OutOfRangeError(f"no exact squared-cosine cycle for n={n}")
-    a = r_sq + l_sq
-    b_sq = 4 * r_sq * l_sq
-    a_pow = [a ** 0]
-    for _ in range(m):
-        a_pow.append(a_pow[-1] * a)
-    total: Scalar = 0
-    for k in range(n // 2):
-        t = b_sq * cos_sq[k]
-        term: Scalar = 0
-        t_pow: Scalar = 1
-        for j in range(0, m + 1, 2):
-            if j:
-                t_pow = t_pow * t
-            term = term + math.comb(m, j) * a_pow[m - j] * t_pow
-        total = total + 2 * term
-    return total
+    scale, elements, phi = _vertex_elements(n, R, L, cycle_n, offset)
+    total = [0] * (len(phi) - 1)
+    for v, count in collections.Counter(elements).items():
+        power, base, k = None, list(v), m
+        while k:
+            if k & 1:
+                power = base if power is None else divmod_monic(poly_mul(power, base), phi)[1]
+            k >>= 1
+            if k:
+                base = divmod_monic(poly_mul(base, base), phi)[1]
+        for j, c in enumerate(power):
+            total[j] += count * c
+    if any(total[1:]):
+        raise OutOfRangeError(f"the sum is irrational for n={n}, m={m} on cycle "
+                              f"{cycle_n or n} at offset {offset}")
+    return Fraction(total[0], scale ** m)
 
 
 # ---------------------------------------------------------------------------

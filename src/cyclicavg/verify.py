@@ -31,7 +31,7 @@ from .polygon import (
     circumcircle_residual,
     per_vertex_power_sum_sq,
     power_sum_brute,
-    power_sum_brute_even_exact,
+    power_sum_brute_exact,
     power_sum_closed_sq,
     recover_r2_l2,
 )
@@ -132,14 +132,14 @@ def sweep_alpha_boundary(seed: int) -> list[SweepRow]:
 
 def sweep_exact_interpolation(seed: int) -> SweepRow:
     # polynomial identity in L^2 for the 24-gon: closed form against the
-    # antipodal-pair exact sum at m+1 distinct rational L^2 nodes
+    # exact vertex sum in Z[zeta_24] at m+1 distinct rational nodes L
     del seed  # fully deterministic
     checks = 0
     for m in range(1, 24):
         for j in range(m + 1):
-            l_sq = Fraction(2 * j + 1, 3)
-            closed = power_sum_closed_sq(24, m, Fraction(1), l_sq)
-            brute = power_sum_brute_even_exact(24, m, Fraction(1), l_sq)
+            L = Fraction(2 * j + 1, 3)
+            closed = power_sum_closed_sq(24, m, Fraction(1), L * L)
+            brute = power_sum_brute_exact(24, m, Fraction(1), L)
             if brute != closed:
                 return SweepRow("exact 24-gon interpolation identity, m=1..23",
                                 checks, math.inf, False)

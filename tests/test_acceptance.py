@@ -28,7 +28,7 @@ from cyclicavg.intpoly import certify_no_small_factor, rational_roots
 from cyclicavg.polygon import (
     circumcircle_residual,
     power_sum_brute,
-    power_sum_brute_even_exact,
+    power_sum_brute_exact,
     power_sum_closed_sq,
     recover_r2_l2,
 )
@@ -89,10 +89,10 @@ def test_criterion_02_exact_interpolation_identity_24gon():
     for m in range(1, 24):
         # m+1 distinct rational nodes pin the degree-m polynomial in L^2
         for j in range(m + 1):
-            l_sq = Fraction(3 * j + 2, 7)
-            closed = power_sum_closed_sq(24, m, Fraction(1), l_sq)
-            brute = power_sum_brute_even_exact(24, m, Fraction(1), l_sq)
-            assert brute == closed, (m, l_sq)
+            L = Fraction(3 * j + 2, 7)
+            closed = power_sum_closed_sq(24, m, Fraction(1), L * L)
+            brute = power_sum_brute_exact(24, m, Fraction(1), L)
+            assert brute == closed, (m, L)
             checks += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0

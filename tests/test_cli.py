@@ -74,6 +74,12 @@ class TestOracle:
                                 "--L", "1", "--alpha", "45", "--m", "5", "--degrees")
         assert float(out_rad) == pytest.approx(float(out_deg))
 
+    def test_exact_polygon_matches_eval_for_every_n(self, capsys):
+        argv = ("--polygon", "5", "--R", "1", "--L", "1/2", "--m", "3", "--backend", "exact")
+        code, out, _ = run_cli(capsys, "oracle", *argv)
+        assert code == 0
+        assert out == run_cli(capsys, "eval", *argv)[1] == "1225/64\n"
+
     def test_solid_exact(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--solid", "cube", "--c", "1",
                                "--x", "0", "--y", "0", "--z", "0", "--m", "3",
@@ -113,6 +119,14 @@ class TestFloatOverflow:
         ("locus", "--polygon", "8", "--R", "1e30", "--m", "7", "--C", "1"),
         # only the factor n overflows; an inf centre must not read as "centroid"
         ("locus", "--polygon", "8", "--R", "1e22", "--m", "7", "--C", "1"),
+        # a number too large for a float is refused where it is parsed
+        ("eval", "--polygon", "4", "--R", "1e400", "--L", "1", "--m", "2"),
+        ("oracle", "--polygon", "4", "--R", "1", "--L", "1e400", "--m", "2"),
+        ("locus", "--polygon", "4", "--R", "1", "--m", "2", "--C", "1e400"),
+        ("recover", "--s2", "1e400", "--s4", "1"),
+        ("solve", "--polygon", "3", "--R", "1", "--L", "1", "--d1sq", "1e400"),
+        ("oracle", "--solid", "cube", "--x", "1", "--y", "1", "--z", "1e400", "--m", "2"),
+        ("eval", "--solid", "cube", "--R", "1e400", "--L", "1", "--m", "2"),
     ])
     def test_overflow_is_a_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

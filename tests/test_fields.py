@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,11 @@ from cyclicavg.errors import DomainError, InexactSqrtError
 from cyclicavg.fields import (
     GOLDEN_RATIO,
     Surd,
-    exact_cos_cycle,
-    exact_cos_sq_cycle,
     exact_sqrt,
     rel_close,
     sqrt_scalar,
 )
+from cyclicavg.intpoly import cyclotomic, divmod_monic, poly_mul
 
 
 def test_rational_arithmetic_stays_reduced():
@@ -97,39 +97,49 @@ class TestSurd:
         assert 1 / (phi * phi) + phi * phi == 3
 
 
-EXACT_CYCLES = (1, 2, 3, 4, 6, 8, 12)
+# The exact cosine cycles are elements of Z[x]/Phi_N, x = zeta_N:
+# 2 cos(2*pi*k/N) = x^k + x^-k, reduced by the cyclotomic polynomial.
+CYCLES = (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24)
 
 
-@pytest.mark.parametrize("n", EXACT_CYCLES)
+def _two_cos(N, k):
+    x_k = [0] * N
+    x_k[k % N] += 1
+    x_k[-k % N] += 1
+    return divmod_monic(x_k, cyclotomic(N).coeffs)[1]
+
+
+def _square(v, N):
+    return divmod_monic(poly_mul(v, v), cyclotomic(N).coeffs)[1]
+
+
+def _at_zeta(v, N):
+    zeta = cmath.exp(2j * math.pi / N)
+    return sum(c * zeta ** j for j, c in enumerate(v))
+
+
+@pytest.mark.parametrize("n", CYCLES)
 def test_cos_cycles_match_float(n):
-    cycle = exact_cos_cycle(n)
-    assert cycle is not None and len(cycle) == n
-    for k, value in enumerate(cycle):
-        assert abs(float(value) - math.cos(2 * math.pi * k / n)) < 1e-15
+    for k in range(n):
+        value = _at_zeta(_two_cos(n, k), n)
+        assert abs(value - 2 * math.cos(2 * math.pi * k / n)) < 1e-12
 
 
 def test_cos_sq_cycle_24():
-    cycle = exact_cos_sq_cycle(24)
-    assert cycle is not None and len(cycle) == 24
-    for k, value in enumerate(cycle):
-        assert abs(float(value) - math.cos(2 * math.pi * k / 24) ** 2) < 1e-15
-    assert exact_cos_cycle(24) is None  # the plain cosines need a deeper field
+    for k in range(24):
+        four_cos_sq = _square(_two_cos(24, k), 24)
+        assert abs(_at_zeta(four_cos_sq, 24) / 4 - math.cos(2 * math.pi * k / 24) ** 2) < 1e-12
+    # the 24-cycle's own cosines need the whole ring, not a quadratic field
+    assert any(_two_cos(24, 1)[1:]) and any(_two_cos(24, 2)[1:])
 
 
-@pytest.mark.parametrize("n", EXACT_CYCLES)
+@pytest.mark.parametrize("n", CYCLES)
 def test_derived_cycles_obey_double_angle(n):
-    cos, cos_sq = exact_cos_cycle(n), exact_cos_sq_cycle(n)
+    two = [2] + [0] * (len(cyclotomic(n).coeffs) - 2)
     for k in range(n):
-        assert 2 * cos[k] ** 2 - 1 == cos[2 * k % n]
-        assert cos_sq[k] == cos[k] ** 2
-
-
-def test_exact_cycles_exist_only_where_tabulated():
-    for n in range(-1, 50):
-        assert (exact_cos_cycle(n) is not None) == (n in EXACT_CYCLES)
-        has_sq = n in EXACT_CYCLES or n in (16, 24)
-        assert (exact_cos_sq_cycle(n) is not None) == has_sq
-    assert exact_cos_cycle(5) is None and exact_cos_cycle(24) is None
+        # (2 cos t)^2 - 2 = 2 cos 2t, exactly in the ring
+        square = _square(_two_cos(n, k), n)
+        assert [s - t for s, t in zip(square, two)] == _two_cos(n, 2 * k)
 
 
 def test_rel_close():

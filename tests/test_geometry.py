@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cyclicavg.errors import OutOfRangeError
-from cyclicavg.fields import Surd, exact_cos_cycle
+from cyclicavg.fields import Surd
 from cyclicavg.geometry import (
     PlanePlacement,
     PolygonSpec,
@@ -61,12 +61,17 @@ def test_polygon_distance_matches_cartesian():
         assert abs(value - direct) <= 1e-12 * max(direct, 1e-12)
 
 
+H = Fraction(1, 2)
+# cos(2*pi*k/n), k = 0..n-1, for the polygons whose cosines are rational
+RATIONAL_COS_CYCLES = {3: (1, -H, -H), 4: (1, 0, -1, 0), 6: (1, H, -H, -1, -H, H)}
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_exact_distances_match_cartesian_at_alpha_zero(n):
     # at alpha = 0 the cross terms with sin alpha vanish, so the direct
     # Cartesian computation is rational too: d^2 = (L - R c)^2 + R^2 (1 - c^2)
     R, L = Fraction(3, 2), Fraction(5, 7)
-    cycle = exact_cos_cycle(n)
+    cycle = RATIONAL_COS_CYCLES[n]
     for i in range(n):
         c = cycle[(-i) % n]
         expected = (L - R * c) ** 2 + R * R * (1 - c * c)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from cyclicavg.errors import OutOfRangeError
 from cyclicavg.intpoly import (
     IntegerPolynomial,
     certify_no_small_factor,
+    cyclotomic,
     divides,
+    divmod_monic,
     factor_degrees_mod,
     is_squarefree,
     kronecker_small_factor,
@@ -48,6 +51,41 @@ def test_divides():
     product = IntegerPolynomial(tuple(poly_mul([-2, 0, 1], [-3, 0, 1])))
     assert divides(X2_MINUS_2, product)
     assert not divides(IntegerPolynomial((-1, 0, 1)), product)
+
+
+def test_divides_edge_cases():
+    assert divides(IntegerPolynomial((3,)), OCTIC)           # nonzero constants divide
+    assert not divides(IntegerPolynomial((0,)), OCTIC)       # zero divides nothing
+    assert not divides(OCTIC, X2_MINUS_2)                    # degree guard
+    assert divides(IntegerPolynomial((-1, 2)), IntegerPolynomial((1, -3, 2)))  # 2x - 1
+
+
+def test_divmod_monic():
+    a, b = [5, 0, 3, 1], [1, 0, 1]
+    quo, rem = divmod_monic(a, b)
+    assert len(rem) == 2
+    assert [x + y for x, y in zip(poly_mul(quo, b), rem + [0, 0])] == a
+    assert divmod_monic([7], [2, 0, 1]) == ([0], [7, 0])
+
+
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_cyclotomic_products_give_x_n_minus_1(n):
+    assert cyclotomic(n).degree == _totient(n)
+    assert cyclotomic(n).leading == 1
+    product = [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            product = poly_mul(product, cyclotomic(d).coeffs)
+    assert product == [-1] + [0] * (n - 1) + [1]
+
+
+def test_cyclotomic_order_must_be_positive():
+    with pytest.raises(OutOfRangeError):
+        cyclotomic(0)
 
 
 def test_rational_roots():

@@ -7,16 +7,18 @@ import pytest
 from cyclicavg.errors import (
     InvalidAverageError,
     NegativeDiscriminantError,
+    NonRationalInputError,
     OutOfRangeError,
 )
+from cyclicavg.fields import Surd
 from cyclicavg.geometry import PlanePlacement, PolygonSpec
 from cyclicavg.polygon import (
     circumcircle_residual,
     cyclic_average,
     locus_classify,
+    per_vertex_power_sum_sq,
     polygon_distances_sq_exact,
     power_sum_brute,
-    power_sum_brute_even_exact,
     power_sum_brute_exact,
     power_sum_closed,
     power_sum_closed_sq,
@@ -88,15 +90,19 @@ class TestBruteForce:
                   for alpha in (0.0, 0.4, 1.1, 2.7, 5.5)]
         assert (max(values) - min(values)) / min(values) < 1e-9
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", range(3, 25))
     def test_exact_oracle_agrees_with_closed_form(self, n):
         R, L = Fraction(5, 4), Fraction(2, 3)
         for m in range(1, n):
             closed = power_sum_closed_sq(n, m, R * R, L * L)
             assert power_sum_brute_exact(n, m, R, L) == closed
         # same placement expressed on a finer exact cycle
-        assert power_sum_brute_exact(n, 1, R, L, cycle_n=12, offset=0) \
+        assert power_sum_brute_exact(n, 1, R, L, cycle_n=4 * n, offset=0) \
             == power_sum_closed_sq(n, 1, R * R, L * L)
+        # a turn of a finer cycle that is no vertex angle
+        for m in {1, n // 2, n - 1}:
+            assert power_sum_brute_exact(n, m, R, L, 3 * n, 1) \
+                == power_sum_closed_sq(n, m, R * R, L * L)
 
     def test_exact_distances_example(self):
         d_sq = polygon_distances_sq_exact(4, Fraction(1), Fraction(2))
@@ -104,10 +110,47 @@ class TestBruteForce:
 
     def test_even_pairing_oracle_n24(self):
         for m in (1, 2, 5, 12, 23):
-            for l_sq in (Fraction(1, 3), Fraction(7, 2)):
-                closed = power_sum_closed_sq(24, m, Fraction(1), l_sq)
-                brute = power_sum_brute_even_exact(24, m, Fraction(1), l_sq)
-                assert brute == closed
+            for L in (Fraction(1, 3), Fraction(7, 2)):
+                closed = power_sum_closed_sq(24, m, Fraction(1), L * L)
+                assert power_sum_brute_exact(24, m, Fraction(1), L) == closed
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_exact_boundary_at_m_equal_n(self, n):
+        # at alpha = 0 the m = n sum exceeds the design average by the one
+        # Fourier term the n-gon does not average away
+        R, L = Fraction(3, 2), Fraction(4, 5)
+        excess = power_sum_brute_exact(n, n, R, L) \
+            - n * per_vertex_power_sum_sq(n, R * R, L * L)
+        assert excess == (-1) ** n * 2 * n * (R * L) ** n
+
+    def test_irrational_sum_is_refused(self):
+        # the 3-gon at alpha = pi/12: the m = 3 sum carries cos(pi/4)
+        R, L = Fraction(1), Fraction(1, 2)
+        with pytest.raises(OutOfRangeError):
+            power_sum_brute_exact(3, 3, R, L, 24, 1)
+        assert power_sum_brute_exact(3, 2, R, L, 24, 1) \
+            == power_sum_closed_sq(3, 2, R * R, L * L)
+
+    def test_exact_distances_exist_only_at_rational_cosines(self):
+        R, L = Fraction(1), Fraction(2)
+        for n in range(-1, 50):
+            if n in (1, 2, 3, 4, 6):
+                assert len(polygon_distances_sq_exact(n, R, L)) == n
+            else:
+                with pytest.raises(OutOfRangeError):
+                    polygon_distances_sq_exact(n, R, L)
+        with pytest.raises(OutOfRangeError):
+            polygon_distances_sq_exact(3, R, L, 12, 1)
+        with pytest.raises(OutOfRangeError):
+            polygon_distances_sq_exact(3, R, L, 8)  # 8 is not a multiple of 3
+        assert polygon_distances_sq_exact(3, R, L, 12, 2) == (3, 3, 9)
+
+    @pytest.mark.parametrize("R", [Surd(1, 1, 2), 1.0])
+    def test_exact_oracle_needs_rational_inputs(self, R):
+        with pytest.raises(NonRationalInputError):
+            power_sum_brute_exact(4, 2, R, Fraction(1))
+        with pytest.raises(NonRationalInputError):
+            polygon_distances_sq_exact(4, Fraction(1), R)
 
 
 class TestCyclicAverage:
