@@ -11,7 +11,6 @@ from .errors import (
     InconsistentDistancesError,
     InexactSqrtError,
     InvalidAverageError,
-    MixedRadicandError,
     NegativeDiscriminantError,
     NoAntipodesError,
     NoCertificateFoundError,
@@ -19,7 +18,7 @@ from .errors import (
     OutOfRangeError,
     UnattainableError,
 )
-from .fields import GOLDEN_RATIO, SQRT5, Surd, exact_sqrt, rel_close, rel_err, sqrt_scalar
+from .fields import GOLDEN_RATIO, Surd, exact_sqrt, rel_err, sqrt_scalar
 from .geometry import (
     PlanePlacement,
     PolygonSpec,

@@ -69,8 +69,7 @@ def format_scalar(x: Scalar) -> str:
     if isinstance(x, Surd):
         if x.is_rational:
             return format_scalar(x.a)
-        d = x.d
-        return f"{x.a} + {x.b}*√{d}"
+        return f"{x.a} + {x.b}*√5"
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, int):

@@ -3,7 +3,7 @@
 Two interchangeable backends flow through every formula in the library:
 
 * exact  -- ``fractions.Fraction``, extended where needed by :class:`Surd`
-  values ``a + b*sqrt(d)`` (the golden-ratio solids need d = 5),
+  values ``a + b*sqrt(5)`` (the golden-ratio solids),
 * float  -- IEEE doubles, compared with a relative tolerance.
 
 All computational routines are written against the shared arithmetic protocol
@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
 
-from .errors import InexactSqrtError, MixedRadicandError
+from .errors import InexactSqrtError
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, float, Fraction, "Surd"]
+_T = TypeVar("_T")
+
+_ROOT5 = math.sqrt(5)
 
 
 def rel_err(a: float, b: float) -> float:
@@ -35,8 +38,19 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def rel_close(a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> bool:
-    return abs(a - b) <= max(rel_tol * max(abs(a), abs(b)), abs_tol)
+def power(x: _T, k: int, mul: Callable[[_T, _T], _T], one: _T) -> _T:
+    """x ** k for k >= 0 by square and multiply in any ring given by mul.
+
+    Never multiplies by one and never squares past the top bit of k.
+    """
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if out is None else out
 
 
 def exact_sqrt(x: Rational) -> Fraction | None:
@@ -56,31 +70,21 @@ def is_exact(x: Scalar) -> bool:
 
 
 class Surd:
-    """Element ``a + b*sqrt(d)`` of a real quadratic extension of the rationals.
+    """Element ``a + b*sqrt(5)`` of Q(sqrt 5), the golden ratio's field.
 
-    ``a`` and ``b`` are Fractions, ``d`` a squarefree integer > 1.  A value
-    with ``b == 0`` is plain rational and combines freely with Surds of any
-    radicand; mixing two distinct irrational radicands raises.  A float
-    operand gives the float result ``op(float(self), other)``, as for Fraction.
+    ``a`` and ``b`` are Fractions; a value with ``b == 0`` is plain rational.
+    A float operand gives the float result ``op(float(self), other)``, as
+    for Fraction.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a: Rational = 0, b: Rational = 0, d: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b == 0:
-            d = 0
-        elif d <= 1:
-            raise ValueError("radicand must exceed 1 for an irrational part")
-        self.a = a
-        self.b = b
-        self.d = d
+    def __init__(self, a: Rational = 0, b: Rational = 0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
 
     def _coerce(self, other: Scalar) -> "Surd":
         if isinstance(other, Surd):
-            if self.d and other.d and self.d != other.d:
-                raise MixedRadicandError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
             return Surd(other)
@@ -98,7 +102,7 @@ class Surd:
         o = self._coerce(other)
         if o is NotImplemented:
             return self._mixed(operator.add, other)
-        return Surd(self.a + o.a, self.b + o.b, self.d or o.d)
+        return Surd(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -106,23 +110,22 @@ class Surd:
         o = self._coerce(other)
         if o is NotImplemented:
             return self._mixed(operator.sub, other)
-        return Surd(self.a - o.a, self.b - o.b, self.d or o.d)
+        return Surd(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
             return self._mixed(operator.sub, other, reflected=True)
-        return Surd(o.a - self.a, o.b - self.b, self.d or o.d)
+        return Surd(o.a - self.a, o.b - self.b)
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.d)
+        return Surd(-self.a, -self.b)
 
     def __mul__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
             return self._mixed(operator.mul, other)
-        d = self.d or o.d
-        return Surd(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        return Surd(self.a * o.a + self.b * o.b * 5, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -131,9 +134,9 @@ class Surd:
         if o is NotImplemented:
             return self._mixed(operator.truediv, other)
         if o.b == 0:
-            return Surd(self.a / o.a, self.b / o.a, self.d)
-        norm = o.a * o.a - o.b * o.b * o.d
-        return self * Surd(o.a / norm, -o.b / norm, o.d)
+            return Surd(self.a / o.a, self.b / o.a)
+        norm = o.a * o.a - o.b * o.b * 5
+        return self * Surd(o.a / norm, -o.b / norm)
 
     def __rtruediv__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
@@ -144,15 +147,7 @@ class Surd:
     def __pow__(self, n: int) -> "Surd":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Surd(1) if out is None else out
+        return power(self, n, operator.mul, Surd(1))
 
     # -- structure -------------------------------------------------------
 
@@ -165,10 +160,10 @@ class Surd:
     def __hash__(self) -> int:
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b))
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
+        """Exact sign of a + b*sqrt(5)."""
         a, b = self.a, self.b
         if b == 0:
             return (a > 0) - (a < 0)
@@ -178,9 +173,9 @@ class Surd:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 against b^2 d
+        # opposite signs: compare a^2 against 5 b^2
         lead = 1 if a > 0 else -1
-        diff = a * a - b * b * self.d
+        diff = a * a - b * b * 5
         if diff == 0:
             return 0
         return lead if diff > 0 else -lead
@@ -207,44 +202,40 @@ class Surd:
         return self.a != 0 or self.b != 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return float(self.a) + float(self.b) * _ROOT5
 
     def __repr__(self) -> str:
         if self.b == 0:
             return f"Surd({self.a})"
-        return f"Surd({self.a}, {self.b}, {self.d})"
+        return f"Surd({self.a}, {self.b})"
 
     @property
     def is_rational(self) -> bool:
         return self.b == 0
 
     def sqrt(self) -> "Surd | None":
-        """Exact square root within the same field, or None."""
+        """The nonnegative square root within Q(sqrt 5), or None."""
         if self.b == 0:
+            # a rational has a root in the field as r or as q*sqrt(5)
             r = exact_sqrt(self.a)
             if r is not None:
                 return Surd(r)
-            if self.d:
-                q = exact_sqrt(self.a / self.d)
-                if q is not None:
-                    return Surd(0, q, self.d)
-            return None
-        # (x + y*sqrt(d))^2 = a + b*sqrt(d):  x^2 + d y^2 = a,  2xy = b.
-        e = exact_sqrt(self.a * self.a - self.b * self.b * self.d)
+            q = exact_sqrt(self.a / 5)
+            return None if q is None else Surd(0, q)
+        # (x + y*sqrt(5))^2 = a + b*sqrt(5):  x^2 + 5 y^2 = a,  2xy = b.
+        e = exact_sqrt(self.a * self.a - self.b * self.b * 5)
         if e is None:
             return None
         for t in ((self.a + e) / 2, (self.a - e) / 2):
             x = exact_sqrt(t)
             if x is not None and x != 0:
-                y = self.b / (2 * x)
-                cand = Surd(x, y, self.d)
+                cand = Surd(x, self.b / (2 * x))
                 if cand * cand == self:
-                    return cand
+                    return cand if cand.sign() > 0 else -cand
         return None
 
 
-GOLDEN_RATIO = Surd(Fraction(1, 2), Fraction(1, 2), 5)
-SQRT5 = Surd(0, 1, 5)
+GOLDEN_RATIO = Surd(Fraction(1, 2), Fraction(1, 2))
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:

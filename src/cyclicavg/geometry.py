@@ -255,11 +255,7 @@ def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
 def solid_distance_sq(spec: SolidSpec, p: SpacePlacement, i: int) -> Scalar:
     """Squared Euclidean distance from the placement to vertex i (1-based)."""
     _check_vertex(i, spec.n)
-    vx, vy, vz = solid_vertices(spec.kind, spec.c)[i - 1]
-    dx = p.x - vx
-    dy = p.y - vy
-    dz = p.z - vz
-    return dx * dx + dy * dy + dz * dz
+    return solid_distances_sq(spec, p)[i - 1]
 
 
 def solid_distances_sq(spec: SolidSpec, p: SpacePlacement) -> tuple[Scalar, ...]:

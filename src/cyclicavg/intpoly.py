@@ -28,6 +28,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NoCertificateFoundError, OutOfRangeError
+from .fields import power
+
+PRIME_BOUND = 200  # reduce mod every prime below this
+MAX_PATTERNS = 10  # stop collecting factor-degree patterns after this many primes
+SEARCH_BUDGET = 2_000_000  # divisor combinations the exact search may try
 
 
 @dataclass(frozen=True)
@@ -246,14 +251,8 @@ def _mod_gcd(a: list[int], b: list[int], q: int) -> list[int]:
 
 def _mod_pow_x(e: int, modulus: list[int], q: int) -> list[int]:
     """x^e reduced mod (modulus) over F_q, by square and multiply."""
-    result = [1]
     base = _mod_divmod([0, 1], modulus, q)[1] if len(modulus) <= 2 else [0, 1]
-    while e:
-        if e & 1:
-            result = _mod_divmod(_mod_mul(result, base, q), modulus, q)[1]
-        base = _mod_divmod(_mod_mul(base, base, q), modulus, q)[1]
-        e >>= 1
-    return result
+    return power(base, e, lambda u, v: _mod_divmod(_mod_mul(u, v, q), modulus, q)[1], [1])
 
 
 def factor_degrees_mod(p: IntegerPolynomial, q: int) -> list[int] | None:
@@ -307,14 +306,13 @@ def _primes_below(bound: int) -> list[int]:
 # exhaustive exact small-factor search
 
 
-def kronecker_small_factor(p: IntegerPolynomial, max_degree: int,
-                           budget: int = 2_000_000) -> IntegerPolynomial | None:
+def kronecker_small_factor(p: IntegerPolynomial, max_degree: int) -> IntegerPolynomial | None:
     """An integer factor of degree 1..max_degree, or None if none exists.
 
     Complete and exact: by Gauss's lemma any rational factor scales to an
     integer one, whose values at integer points divide p's values there.
-    Raises NoCertificateFoundError if the divisor combinations exceed the
-    budget (then and only then is the question left open).
+    Raises NoCertificateFoundError if the divisor combinations exceed
+    SEARCH_BUDGET (then and only then is the question left open).
     """
     max_degree = min(max_degree, p.degree - 1)  # degree-p factors are p itself
     if max_degree < 1:
@@ -334,7 +332,7 @@ def kronecker_small_factor(p: IntegerPolynomial, max_degree: int,
         pts = samples[: deg + 1]
         divisor_lists = [_signed_divisors(v) for _, v in pts]
         combos = math.prod(len(dl) for dl in divisor_lists)
-        if combos > budget:
+        if combos > SEARCH_BUDGET:
             raise NoCertificateFoundError(
                 f"divisor search for degree {deg} needs {combos} combinations")
         basis = _lagrange_basis([x for x, _ in pts])
@@ -395,9 +393,7 @@ class DegreeCertificate:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def certify_no_small_factor(p: IntegerPolynomial, max_degree: int = 4,
-                            prime_bound: int = 200, max_patterns: int = 10,
-                            search_budget: int = 2_000_000) -> DegreeCertificate:
+def certify_no_small_factor(p: IntegerPolynomial, max_degree: int = 4) -> DegreeCertificate:
     """Certify that p has no rational factor of degree 1..max_degree.
 
     Strategy: a single prime with irreducible reduction settles everything;
@@ -413,7 +409,7 @@ def certify_no_small_factor(p: IntegerPolynomial, max_degree: int = 4,
     target = set(range(1, min(max_degree, p.degree - 1) + 1))
     patterns: list[tuple[int, tuple[int, ...]]] = []
     possible: set[int] | None = None
-    for q in _primes_below(prime_bound):
+    for q in _primes_below(PRIME_BOUND):
         degrees = factor_degrees_mod(p, q)
         if degrees is None:
             continue
@@ -427,11 +423,11 @@ def certify_no_small_factor(p: IntegerPolynomial, max_degree: int = 4,
             return DegreeCertificate(
                 max_degree, True, False, None, tuple(patterns),
                 tuple(sorted(possible & target)), "degree-patterns")
-        if len(patterns) >= max_patterns:
+        if len(patterns) >= MAX_PATTERNS:
             break
     remaining = tuple(sorted((possible or set(target)) & target))
     try:
-        factor = kronecker_small_factor(p, max_degree, budget=search_budget)
+        factor = kronecker_small_factor(p, max_degree)
     except NoCertificateFoundError as exc:
         return DegreeCertificate(
             max_degree, False, False, None, tuple(patterns), remaining,

@@ -28,7 +28,7 @@ from .errors import (
     NonRationalInputError,
     OutOfRangeError,
 )
-from .fields import Rational, Scalar, is_exact, sqrt_scalar
+from .fields import Rational, Scalar, is_exact, power, sqrt_scalar
 from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distance_sq, sum_basis
 from .intpoly import cyclotomic, divmod_monic, poly_mul
 
@@ -127,6 +127,10 @@ def _vertex_elements(n: int, R: Rational, L: Rational, cycle_n: int | None,
     """
     if not (isinstance(R, (int, Fraction)) and isinstance(L, (int, Fraction))):
         raise NonRationalInputError("the exact polygon oracle needs int or Fraction R and L")
+    if not R > 0:
+        raise OutOfRangeError("circumradius must be positive")
+    if not L >= 0:
+        raise OutOfRangeError("centroid distance L must be >= 0")
     N = cycle_n or n
     if n < 1 or N < 1 or N % n:
         raise OutOfRangeError(f"cycle {N} is not a positive multiple of n={n}")
@@ -178,16 +182,14 @@ def power_sum_brute_exact(n: int, m: int, R: Rational, L: Rational,
     if m < 1:
         raise OutOfRangeError("power index m must be >= 1")
     scale, elements, phi = _vertex_elements(n, R, L, cycle_n, offset)
+
+    def mul(u: Sequence[int], v: Sequence[int]) -> list[int]:
+        return divmod_monic(poly_mul(u, v), phi)[1]
+
     total = [0] * (len(phi) - 1)
+    one = [1] + total[1:]
     for v, count in collections.Counter(elements).items():
-        power, base, k = None, list(v), m
-        while k:
-            if k & 1:
-                power = base if power is None else divmod_monic(poly_mul(power, base), phi)[1]
-            k >>= 1
-            if k:
-                base = divmod_monic(poly_mul(base, base), phi)[1]
-        for j, c in enumerate(power):
+        for j, c in enumerate(power(v, m, mul, one)):
             total[j] += count * c
     if any(total[1:]):
         raise OutOfRangeError(f"the sum is irrational for n={n}, m={m} on cycle "

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import DegenerateQuarticError, NegativeDiscriminantError, NonRationalInputError
 from .fields import Scalar, exact_sqrt
-from .geometry import heron_area_16sq
+from .geometry import PlanePlacement, PolygonSpec, heron_area_16sq, polygon_distances_sq
 from .intpoly import DegreeCertificate, IntegerPolynomial, certify_no_small_factor, \
     poly_mul, poly_sub, rational_roots
 from .relations import BranchPair
@@ -227,9 +227,7 @@ def rational24_report() -> RationalDistanceReport:
     R = 1.0 / (2.0 * sin_value)
     L = 0.8 * R
     alpha = 0.37
-    a = R * R + L * L
-    b = 2.0 * R * L
-    d_sq = [a - b * math.cos(alpha - k * 2.0 * math.pi / n) for k in range(n)]
+    d_sq = polygon_distances_sq(PolygonSpec(n, R), PlanePlacement(L, alpha))
     s2 = math.fsum(d_sq) / n
     s4 = math.fsum(x * x for x in d_sq) / n
     witness = quartic_witness(s2, s4)
@@ -240,7 +238,7 @@ def rational24_report() -> RationalDistanceReport:
         approx = Fraction(sin_value).limit_denominator(10 ** denom_power)
         value = octic(approx)
         approximants.append((approx, 1 if value > 0 else (-1 if value < 0 else 0)))
-    certificate = certify_no_small_factor(octic, max_degree=4, prime_bound=200)
+    certificate = certify_no_small_factor(octic, max_degree=4)
     conclusion = ("no rational-distance point exists" if certificate.certified
                   else "inconclusive")
     return RationalDistanceReport(

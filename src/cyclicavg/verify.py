@@ -525,7 +525,7 @@ def sweep_octic(seed: int) -> list[SweepRow]:
                     for k in (3, 4, 5, 6, 7, 8))
     rows.append(SweepRow("rational approximants of sin(pi/24) are not roots",
                          6, 0.0, approx_ok))
-    cert = certify_no_small_factor(octic, max_degree=4, prime_bound=200)
+    cert = certify_no_small_factor(octic, max_degree=4)
     rows.append(SweepRow(
         "no factor of degree <= 4: certificate for the octic", 1, 0.0,
         cert.certified,

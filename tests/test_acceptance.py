@@ -330,7 +330,7 @@ def test_criterion_09_rational_distance_pipeline():
     s = sin_pi_24_float()
     float_residual = abs(octic.eval_float(s))
     roots = rational_roots(octic)
-    cert = certify_no_small_factor(octic, max_degree=4, prime_bound=200)
+    cert = certify_no_small_factor(octic, max_degree=4)
     rng = random.Random(109)
     quartic_worst = 0.0
     for n in range(3, 25):

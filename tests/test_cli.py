@@ -19,7 +19,7 @@ def run_cli(capsys, *argv):
 def test_format_scalar():
     assert format_scalar(Fraction(3, 4)) == "3/4"
     assert format_scalar(Fraction(8, 4)) == "2"
-    assert format_scalar(Surd(Fraction(1, 2), Fraction(3, 2), 5)) == "1/2 + 3/2*√5"
+    assert format_scalar(Surd(Fraction(1, 2), Fraction(3, 2))) == "1/2 + 3/2*√5"
     assert format_scalar(980.0) == "980"
     assert format_scalar(0.1234567890123456) == "0.123456789012"
 
@@ -79,6 +79,13 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", *argv)
         assert code == 0
         assert out == run_cli(capsys, "eval", *argv)[1] == "1225/64\n"
+
+    def test_exact_polygon_refuses_negative_L(self, capsys):
+        argv = ("oracle", "--polygon", "3", "--R", "1", "--L=-1/2", "--m", "3")
+        for backend in ("float", "exact"):
+            code, out, err = run_cli(capsys, *argv, "--backend", backend)
+            assert (code, out) == (2, "")
+            assert "L must be >= 0" in err
 
     def test_solid_exact(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--solid", "cube", "--c", "1",

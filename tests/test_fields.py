@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cyclicavg.errors import DomainError, InexactSqrtError
+from cyclicavg.errors import InexactSqrtError
 from cyclicavg.fields import (
     GOLDEN_RATIO,
     Surd,
     exact_sqrt,
-    rel_close,
     sqrt_scalar,
 )
 from cyclicavg.intpoly import cyclotomic, divmod_monic, poly_mul
@@ -39,33 +38,30 @@ def test_exact_sqrt():
 
 class TestSurd:
     def test_basic_arithmetic(self):
-        x = Surd(1, 2, 5)  # 1 + 2*sqrt(5)
-        y = Surd(3, -1, 5)
-        assert x + y == Surd(4, 1, 5)
-        assert x - y == Surd(-2, 3, 5)
-        assert x * y == Surd(3 - 10, 6 - 1, 5)
+        x = Surd(1, 2)  # 1 + 2*sqrt(5)
+        y = Surd(3, -1)
+        assert x + y == Surd(4, 1)
+        assert x - y == Surd(-2, 3)
+        assert x * y == Surd(3 - 10, 6 - 1)
         assert (x * y) / y == x
-        assert x * 2 == Surd(2, 4, 5)
-        assert 1 + x == Surd(2, 2, 5)
+        assert x * 2 == Surd(2, 4)
+        assert 1 + x == Surd(2, 2)
         assert (x ** 3) == x * x * x
         assert x ** 0 == 1 and x ** 1 == x and x ** 4 == x * x * x * x
 
-    def test_rational_collapse_and_mixing(self):
-        z = Surd(1, 1, 5) - Surd(0, 1, 5)
+    def test_rational_collapse(self):
+        z = Surd(1, 1) - Surd(0, 1)
         assert z.is_rational and z == 1
-        # a rational-valued Surd combines with any radicand
-        assert z + Surd(0, 1, 3) == Surd(1, 1, 3)
-        with pytest.raises(ValueError) as exc:
-            Surd(0, 1, 5) + Surd(0, 1, 3)
-        assert isinstance(exc.value, DomainError)
+        assert hash(z) == hash(1)
+        assert z + Surd(0, 1) == Surd(1, 1)
 
     def test_ordering_is_exact(self):
-        assert Surd(0, 1, 5) > 2              # sqrt5 > 2
-        assert Surd(0, 1, 5) < Fraction(9, 4)
-        assert Surd(7, -3, 5) > 0             # 49 > 45
-        assert Surd(-7, 3, 5) < 0
-        assert (Surd(2, -1, 3)).sign() == 1   # 2 > sqrt3
-        assert (Surd(1, -1, 3)).sign() == -1  # 1 < sqrt3
+        assert Surd(0, 1) > 2           # sqrt5 > 2
+        assert Surd(0, 1) < Fraction(9, 4)
+        assert Surd(7, -3) > 0          # 49 > 45
+        assert Surd(-7, 3) < 0
+        assert Surd(3, -1).sign() == 1  # 3 > sqrt5
+        assert Surd(2, -1).sign() == -1  # 2 < sqrt5
 
     def test_float_conversion(self):
         assert math.isclose(float(GOLDEN_RATIO), (1 + math.sqrt(5)) / 2)
@@ -87,7 +83,14 @@ class TestSurd:
         back = sq.sqrt()
         assert back is not None and back * back == sq
         assert Surd(4).sqrt() == 2
-        assert Surd(0, 2, 5).sqrt() is None or Surd(0, 2, 5).sqrt() ** 2 == Surd(0, 2, 5)
+        assert Surd(0, 2).sqrt() is None
+        # a rational root in the field may be a rational multiple of sqrt5
+        assert Surd(5).sqrt() == Surd(0, 1)
+        assert Surd(Fraction(45, 4)).sqrt() == Surd(0, Fraction(3, 2))
+        assert Surd(3).sqrt() is None and Surd(-5).sqrt() is None
+        assert sqrt_scalar(Surd(20)) == Surd(0, 2)
+        with pytest.raises(InexactSqrtError):
+            sqrt_scalar(Surd(2))
 
     def test_golden_identities(self):
         phi = GOLDEN_RATIO
@@ -140,8 +143,3 @@ def test_derived_cycles_obey_double_angle(n):
         # (2 cos t)^2 - 2 = 2 cos 2t, exactly in the ring
         square = _square(_two_cos(n, k), n)
         assert [s - t for s, t in zip(square, two)] == _two_cos(n, 2 * k)
-
-
-def test_rel_close():
-    assert rel_close(1.0, 1.0 + 1e-12)
-    assert not rel_close(1.0, 1.01)

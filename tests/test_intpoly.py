@@ -169,7 +169,7 @@ class TestCertificate:
         assert cert.certifying_prime is None
 
     def test_octic_certificate(self):
-        cert = certify_no_small_factor(OCTIC, max_degree=4, prime_bound=200)
+        cert = certify_no_small_factor(OCTIC, max_degree=4)
         assert cert.certified and cert.fully_irreducible
         assert cert.method == "divisor-search"
         # the mod-p patterns alone cannot exclude a degree-4 factor

@@ -145,12 +145,24 @@ class TestBruteForce:
             polygon_distances_sq_exact(3, R, L, 8)  # 8 is not a multiple of 3
         assert polygon_distances_sq_exact(3, R, L, 12, 2) == (3, 3, 9)
 
-    @pytest.mark.parametrize("R", [Surd(1, 1, 2), 1.0])
+    @pytest.mark.parametrize("R", [Surd(1, 1), 1.0])
     def test_exact_oracle_needs_rational_inputs(self, R):
         with pytest.raises(NonRationalInputError):
             power_sum_brute_exact(4, 2, R, Fraction(1))
         with pytest.raises(NonRationalInputError):
             polygon_distances_sq_exact(4, Fraction(1), R)
+
+    @pytest.mark.parametrize("R, L, message", [
+        (Fraction(1), Fraction(-1, 2), "centroid distance L must be >= 0"),
+        (-1, Fraction(1, 2), "circumradius must be positive"),
+        (0, Fraction(1, 2), "circumradius must be positive"),
+    ])
+    def test_exact_oracle_refuses_what_the_specs_refuse(self, R, L, message):
+        # a negative L would be the mirrored point at alpha + pi
+        with pytest.raises(OutOfRangeError, match=message):
+            power_sum_brute_exact(3, 3, R, L)
+        with pytest.raises(OutOfRangeError, match=message):
+            polygon_distances_sq_exact(4, R, L)
 
 
 class TestCyclicAverage:

@@ -124,7 +124,7 @@ class TestBruteForce:
         value = solid_power_sum_brute(spec, 1, SpacePlacement(0, 0, Fraction(1)))
         phi_sq = GOLDEN_RATIO * GOLDEN_RATIO
         assert value == 12 * (2 + phi_sq)
-        assert value == Surd(42, 6, 5)
+        assert value == Surd(42, 6)
 
 
 class TestLocus:
