@@ -32,13 +32,7 @@ from .polygon import (
 )
 from .ratdist import rational24_report
 from .relations import recover_spec_from_distances, solve_distances
-from .solids import (
-    recover_r2_l2_solid,
-    solid_cyclic_average,
-    solid_locus_classify,
-    solid_power_sum_brute,
-    solid_power_sum_closed,
-)
+from .solids import recover_r2_l2_solid, solid_power_sum_brute
 from . import errata as errata_mod
 from . import plotting
 from .verify import SCOPES, run_verify
@@ -147,7 +141,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("plot", parents=[common],
                        help="emit CSV or SVG plot data on stdout")
     p.add_argument("kind", choices=("locus-circle", "powersum-vs-alpha",
-                                    "powersum-vs-L"))
+                                    "powersum-vs-L"),
+                   help="locus-circle is emitted as SVG, the power-sum curves as CSV")
     p.add_argument("--polygon", type=int, required=True)
     p.add_argument("--R", required=True)
     p.add_argument("--L", help="centroid distance (powersum-vs-alpha)")
@@ -155,8 +150,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--C", help="constant sum (locus-circle)")
     p.add_argument("--samples", type=int, default=plotting.DEFAULT_SAMPLES)
-    p.add_argument("--output", choices=("csv", "svg"),
-                   help="defaults to svg for locus-circle, csv otherwise")
 
     sub.add_parser("errata", parents=[common],
                    help="print the corrected-misprint registry, re-verified")
@@ -186,16 +179,10 @@ def _cmd_eval(args, parser: _Parser) -> int:
     exact = args.backend == "exact"
     fig = _figure(args, parser, exact)
     L = _parse_number(args.L, exact)
-    if isinstance(fig, PolygonSpec):
-        if args.average:
-            value = cyclic_average(fig, args.m, L).value
-        else:
-            value = power_sum_closed(fig, args.m, L)
+    if args.average:
+        value = cyclic_average(fig, args.m, L).value
     else:
-        if args.average:
-            value = solid_cyclic_average(fig, args.m, L).value
-        else:
-            value = solid_power_sum_closed(fig, args.m, L)
+        value = power_sum_closed(fig, args.m, L)
     print(format_scalar(value))
     return 0
 
@@ -231,12 +218,7 @@ def _cmd_oracle(args, parser: _Parser) -> int:
 def _cmd_locus(args, parser: _Parser) -> int:
     exact = args.backend == "exact"
     fig = _figure(args, parser, exact)
-    C = _parse_number(args.C, exact)
-    if isinstance(fig, PolygonSpec):
-        locus = locus_classify(fig, args.m, C)
-    else:
-        locus = solid_locus_classify(fig, args.m, C)
-    print(locus)
+    print(locus_classify(fig, args.m, _parse_number(args.C, exact)))
     return 0
 
 
@@ -284,16 +266,14 @@ def _cmd_plot(args, parser: _Parser) -> int:
     R = float(_parse_number(args.R, False))
     if not 3 <= args.polygon <= MAX_CLI_VERTICES:
         parser.error(f"--polygon must be in 3..{MAX_CLI_VERTICES}")
+    if args.samples < 1:
+        parser.error("--samples must be >= 1")
     if args.kind == "locus-circle":
-        if args.output == "csv":
-            parser.error("locus-circle is emitted as SVG")
         if args.C is None:
             parser.error("locus-circle needs --C")
         sys.stdout.write(plotting.svg_locus_circle(args.polygon, R, args.m,
                                                    float(_parse_number(args.C, False))))
         return 0
-    if args.output == "svg":
-        parser.error("power-sum curves are emitted as CSV")
     if args.kind == "powersum-vs-alpha":
         if args.L is None:
             parser.error("powersum-vs-alpha needs --L")

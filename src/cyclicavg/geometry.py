@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import OutOfRangeError
 from .fields import GOLDEN_RATIO, Scalar
@@ -30,16 +30,29 @@ Triple = tuple[Scalar, Scalar, Scalar]
 
 @dataclass(frozen=True)
 class PolygonSpec:
-    """A regular n-gon given by vertex count and circumradius."""
+    """A regular n-gon given by vertex count and circumradius.
+
+    Every figure spec answers n (vertex count), dim (2 or 3), t (the design
+    strength: sums of d^(2m) are direction-free for m <= t), R_sq and name.
+    """
 
     n: int
     R: Scalar = 1.0
+    dim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise OutOfRangeError(f"polygon needs an integer n >= 3, got {self.n!r}")
         if not self.R > 0:
             raise OutOfRangeError("circumradius must be positive")
+
+    @property
+    def t(self) -> int:
+        return self.n - 1
+
+    @property
+    def name(self) -> str:
+        return f"{self.n}-gon"
 
     @property
     def R_sq(self) -> Scalar:
@@ -55,7 +68,11 @@ class SolidKind(Enum):
 
     @property
     def n(self) -> int:
-        return _VERTEX_COUNT[self]
+        return _GEOMETRY[self][0]
+
+    @property
+    def t(self) -> int:
+        return _GEOMETRY[self][1]
 
     @classmethod
     def parse(cls, text: str) -> "SolidKind":
@@ -67,21 +84,14 @@ class SolidKind(Enum):
                               + ", ".join(k.value for k in cls))
 
 
-_VERTEX_COUNT = {
-    SolidKind.TETRAHEDRON: 4,
-    SolidKind.OCTAHEDRON: 6,
-    SolidKind.CUBE: 8,
-    SolidKind.ICOSAHEDRON: 12,
-    SolidKind.DODECAHEDRON: 20,
-}
-
-# R^2 = (factor) * c^2; the icosahedron's factor 1 + phi^2 lies in Q(sqrt 5).
-_R_SQ_FACTOR = {
-    SolidKind.TETRAHEDRON: 3,
-    SolidKind.OCTAHEDRON: 1,
-    SolidKind.CUBE: 3,
-    SolidKind.ICOSAHEDRON: 1 + GOLDEN_RATIO ** 2,
-    SolidKind.DODECAHEDRON: 3,
+# (vertex count n, design strength t, R^2 / c^2); the icosahedron's factor
+# 1 + phi^2 lies in Q(sqrt 5).
+_GEOMETRY = {
+    SolidKind.TETRAHEDRON: (4, 2, 3),
+    SolidKind.OCTAHEDRON: (6, 3, 1),
+    SolidKind.CUBE: (8, 3, 3),
+    SolidKind.ICOSAHEDRON: (12, 5, 1 + GOLDEN_RATIO ** 2),
+    SolidKind.DODECAHEDRON: (20, 5, 3),
 }
 
 
@@ -91,6 +101,7 @@ class SolidSpec:
 
     kind: SolidKind
     c: Scalar = 1.0
+    dim: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
         if not self.c > 0:
@@ -98,15 +109,25 @@ class SolidSpec:
 
     @classmethod
     def from_circumradius(cls, kind: SolidKind, R: float) -> "SolidSpec":
-        return cls(kind, R / math.sqrt(_R_SQ_FACTOR[kind]))
+        if not R > 0:
+            raise OutOfRangeError("circumradius must be positive")
+        return cls(kind, R / math.sqrt(_GEOMETRY[kind][2]))
 
     @property
     def n(self) -> int:
         return self.kind.n
 
     @property
+    def t(self) -> int:
+        return self.kind.t
+
+    @property
+    def name(self) -> str:
+        return self.kind.value
+
+    @property
     def R_sq(self) -> Scalar:
-        return _R_SQ_FACTOR[self.kind] * (self.c * self.c)
+        return _GEOMETRY[self.kind][2] * (self.c * self.c)
 
     @property
     def R(self) -> float:
@@ -155,10 +176,9 @@ def polygon_vertex(spec: PolygonSpec, i: int) -> tuple[float, float]:
 
 
 def polygon_distance_sq(spec: PolygonSpec, p: PlanePlacement, i: int) -> float:
-    """d_i^2 = R^2 + L^2 - 2 R L cos(alpha - (i-1) 2 pi / n)."""
+    """Squared distance from the placement to vertex i (1-based)."""
     _check_vertex(i, spec.n)
-    R = float(spec.R)
-    return distance_sq_from_cos(R, p.L, math.cos(p.alpha - (i - 1) * 2.0 * math.pi / spec.n))
+    return polygon_distances_sq(spec, p)[i - 1]
 
 
 def sum_basis(R: Scalar, L: Scalar) -> tuple[Scalar, Scalar]:
@@ -170,14 +190,11 @@ def sum_basis(R: Scalar, L: Scalar) -> tuple[Scalar, Scalar]:
     return R * R + L * L, 2 * R * L
 
 
-def distance_sq_from_cos(R: Scalar, L: Scalar, cos_theta: Scalar) -> Scalar:
-    """Law-of-cosines squared distance; exact whenever all three inputs are."""
-    a, b = sum_basis(R, L)
-    return a - b * cos_theta
-
-
 def polygon_distances_sq(spec: PolygonSpec, p: PlanePlacement) -> tuple[float, ...]:
-    return tuple(polygon_distance_sq(spec, p, i) for i in range(1, spec.n + 1))
+    """d_i^2 = R^2 + L^2 - 2 R L cos(alpha - (i-1) 2 pi / n) for i = 1..n."""
+    a, b = sum_basis(float(spec.R), p.L)
+    n = spec.n
+    return tuple([a - b * math.cos(p.alpha - k * 2.0 * math.pi / n) for k in range(n)])
 
 
 _SIDE_SQ_FACTOR = {3: Fraction(3), 4: Fraction(2), 6: Fraction(1)}

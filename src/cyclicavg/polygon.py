@@ -29,11 +29,13 @@ from .errors import (
     OutOfRangeError,
 )
 from .fields import Rational, Scalar, is_exact, power, sqrt_scalar
-from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distance_sq, sum_basis
+from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq, sum_basis
 from .intpoly import cyclotomic, divmod_monic, poly_mul
 
 
 _HALF = Fraction(1, 2)
+
+Figure = Union[PolygonSpec, SolidSpec]
 
 
 @functools.lru_cache(maxsize=256)
@@ -86,8 +88,18 @@ def power_sum_closed_sq(n: int, m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
     return _finite(n * per_vertex_power_sum_sq(m, r_sq, l_sq))
 
 
-def power_sum_closed(spec: PolygonSpec, m: int, L: Scalar) -> Scalar:
-    return power_sum_closed_sq(spec.n, m, spec.R_sq, L * L)
+def _average(spec: Figure, m: int, L: Scalar) -> Scalar:
+    """The closed-form cyclic average of either figure at centroid distance L."""
+    if not L >= 0:
+        raise OutOfRangeError("centroid distance L must be >= 0")
+    _check_power(m, spec.t, spec.name)
+    r_sq, l_sq = spec.R_sq, L * L
+    return _design_sum(m, spec.dim, r_sq + l_sq, r_sq * l_sq)
+
+
+def power_sum_closed(spec: Figure, m: int, L: Scalar) -> Scalar:
+    """Closed-form sum of d_i^(2m) over the vertices of a polygon or solid."""
+    return _finite(spec.n * _average(spec, m, L))
 
 
 @dataclass(frozen=True)
@@ -96,24 +108,32 @@ class CyclicAverage:
 
     m: int
     value: Scalar
-    source: Union[PolygonSpec, SolidSpec]
+    source: Figure
 
 
-def cyclic_average(spec: PolygonSpec, m: int, L: Scalar) -> CyclicAverage:
-    _check_power(m, spec.n - 1, f"{spec.n}-gon")
-    return CyclicAverage(m, _finite(per_vertex_power_sum_sq(m, spec.R_sq, L * L)), spec)
+def cyclic_average(spec: Figure, m: int, L: Scalar) -> CyclicAverage:
+    return CyclicAverage(m, _finite(_average(spec, m, L)), spec)
+
+
+def _power_sum(d_sq: Sequence[Scalar], m: int) -> Scalar:
+    """sum d^m over squared distances: fsum if any is a float, else exact."""
+    if m < 1:
+        raise OutOfRangeError("power index m must be >= 1")
+    if any(isinstance(d, float) for d in d_sq):
+        try:
+            total = math.fsum(float(d) ** m for d in d_sq)
+        except OverflowError:
+            total = math.inf
+        return _finite(total)
+    total: Scalar = 0
+    for d in d_sq:
+        total = total + d ** m
+    return total
 
 
 def power_sum_brute(spec: PolygonSpec, m: int, p: PlanePlacement) -> float:
     """Oracle: sum d_i^(2m) at a concrete placement. Defined for every m >= 1."""
-    if m < 1:
-        raise OutOfRangeError("power index m must be >= 1")
-    try:
-        total = math.fsum(polygon_distance_sq(spec, p, i) ** m
-                          for i in range(1, spec.n + 1))
-    except OverflowError:
-        total = math.inf
-    return _finite(total)
+    return _power_sum(polygon_distances_sq(spec, p), m)
 
 
 def _vertex_elements(n: int, R: Rational, L: Rational, cycle_n: int | None,
@@ -238,8 +258,10 @@ def bisect_radius_sq(f: Callable[[float], float], target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _classify(n: int, m: int, r_sq: Scalar, C: Scalar, dim: int) -> Locus:
-    """Locus for an n-vertex design in dimension dim (2: circle, 3: sphere)."""
+def _classify(spec: Figure, m: int, C: Scalar) -> Locus:
+    """Locus of sum d^(2m) = C: circle (dim 2) or sphere (dim 3), centroid or empty."""
+    _check_power(m, spec.t, spec.name)
+    n, r_sq, dim = spec.n, spec.R_sq, spec.dim
     if not C > 0:
         raise OutOfRangeError("the constant must be positive")
     if is_exact(C) and is_exact(r_sq):
@@ -265,10 +287,9 @@ def _classify(n: int, m: int, r_sq: Scalar, C: Scalar, dim: int) -> Locus:
     return Locus("circle" if dim == 2 else "sphere", math.sqrt(root))
 
 
-def locus_classify(spec: PolygonSpec, m: int, C: Scalar) -> Locus:
-    """Circle of the unique radius, the centroid, or the empty set."""
-    _check_power(m, spec.n - 1, f"{spec.n}-gon")
-    return _classify(spec.n, m, spec.R_sq, C, 2)
+def locus_classify(spec: Figure, m: int, C: Scalar) -> Locus:
+    """Circle or sphere of the unique radius, the centroid, or the empty set."""
+    return _classify(spec, m, C)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +304,9 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     """
     if not s2 > 0:
         raise InvalidAverageError("S2 must be positive")
+    gap = s4 - s2 * s2  # (4/dim) R^2 L^2; floats may round it below zero
+    if gap < 0 and (is_exact(gap) or gap < -1e-12 * s2 * s2):
+        raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
     disc = (dim + 1) * s2 * s2 - dim * s4
     if disc < 0:
         raise NegativeDiscriminantError(

@@ -1,9 +1,9 @@
 """Power sums of squared vertex distances for the five Platonic solids.
 
-The vertex sets are spherical t-designs with strengths t = 2 (tetrahedron),
-3 (octahedron, cube) and 5 (icosahedron, dodecahedron), so for m = 1..t the
-per-vertex average is the design-moment formula of :mod:`cyclicavg.polygon`
-at d = 3, with A = R^2 + L^2:
+The vertex sets are spherical t-designs (strengths in the geometry table,
+``SolidKind.t``), so for m = 1..t the per-vertex average is the
+design-moment formula of :mod:`cyclicavg.polygon` at d = 3, with
+A = R^2 + L^2:
 
     S^(2m) = sum_k C(m,2k) A^(m-2k) (4 R^2 L^2)^k E_3[cos^2k],
     E_3[cos^2k] = 1/(2k+1).
@@ -13,23 +13,16 @@ Beyond t the sums depend on the direction of the placement, not only on L.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoAntipodesError, OutOfRangeError
 from .fields import Scalar
 from .geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
-from .polygon import (CyclicAverage, Locus, _check_power, _classify, _design_sum, _finite,
-                      _recover, _sphere_residual)
+from .polygon import (Locus, _check_power, _classify, _design_sum, _finite, _power_sum,
+                      _recover, _sphere_residual, cyclic_average, power_sum_closed)
 
-MAX_POWER_INDEX = {
-    SolidKind.TETRAHEDRON: 2,
-    SolidKind.OCTAHEDRON: 3,
-    SolidKind.CUBE: 3,
-    SolidKind.ICOSAHEDRON: 5,
-    SolidKind.DODECAHEDRON: 5,
-}
+MAX_POWER_INDEX = {kind: kind.t for kind in SolidKind}
 _MAX_SOLID_POWER = max(MAX_POWER_INDEX.values())
 _SOLID_VERTEX_COUNTS = frozenset(kind.n for kind in SolidKind)
 
@@ -43,17 +36,12 @@ def per_vertex_solid_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
 def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
                               l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all vertices, from squared inputs."""
-    _check_power(m, MAX_POWER_INDEX[kind], kind.value)
+    _check_power(m, kind.t, kind.value)
     return _finite(kind.n * per_vertex_solid_power_sum_sq(m, r_sq, l_sq))
 
 
-def solid_power_sum_closed(spec: SolidSpec, m: int, L: Scalar) -> Scalar:
-    return solid_power_sum_closed_sq(spec.kind, m, spec.R_sq, L * L)
-
-
-def solid_cyclic_average(spec: SolidSpec, m: int, L: Scalar) -> CyclicAverage:
-    value = solid_power_sum_closed(spec, m, L) / spec.n
-    return CyclicAverage(m, value, spec)
+solid_power_sum_closed = power_sum_closed
+solid_cyclic_average = cyclic_average
 
 
 def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
@@ -62,25 +50,12 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
     Exact for exact spec and placement (Q(sqrt 5) for the golden-ratio
     solids); float otherwise.
     """
-    if m < 1:
-        raise OutOfRangeError("power index m must be >= 1")
-    d_sq = solid_distances_sq(spec, p)
-    if any(isinstance(d, float) for d in d_sq):
-        try:
-            total = math.fsum(float(d) ** m for d in d_sq)
-        except OverflowError:
-            total = math.inf
-        return _finite(total)
-    total: Scalar = 0
-    for d in d_sq:
-        total = total + d ** m
-    return total
+    return _power_sum(solid_distances_sq(spec, p), m)
 
 
 def solid_locus_classify(spec: SolidSpec, m: int, C: Scalar) -> Locus:
     """Sphere of the unique radius, the centroid, or the empty set."""
-    _check_power(m, MAX_POWER_INDEX[spec.kind], spec.kind.value)
-    return _classify(spec.n, m, spec.R_sq, C, 3)
+    return _classify(spec, m, C)
 
 
 def recover_r2_l2_solid(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
@@ -111,12 +86,12 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
     rows: list[tuple[str, Scalar, Scalar]] = []
     rows.append(("S4 + 16/9 R^4 = (S2 + 2/3 R^2)^2",
                  s4 + Fraction(16, 9) * r_sq * r_sq, (s2 + Fraction(2, 3) * r_sq) ** 2))
-    if MAX_POWER_INDEX[kind] >= 3 and s6 is not None:
+    if kind.t >= 3 and s6 is not None:
         rows.append(("S6 = S2((S2 + 2R^2)^2 - 8R^4)",
                      s6, s2 * ((s2 + 2 * r_sq) ** 2 - 8 * r_sq * r_sq)))
         rows.append(("S6 = S2(3 S4 - 2 S2^2)",
                      s6, s2 * (3 * s4 - 2 * s2 * s2)))
-    if MAX_POWER_INDEX[kind] >= 5 and s8 is not None and s10 is not None:
+    if kind.t >= 5 and s8 is not None and s10 is not None:
         gap = s2 - r_sq  # equals L^2
         rows.append(("S8 - S2^4 = 8R^2 L^2 (S2^2 + 2/5 R^2 L^2)",
                      s8 - s2 ** 4,

@@ -53,6 +53,22 @@ class TestEval:
         assert code == 2
         assert "m=9" in err
 
+    @pytest.mark.parametrize("figure", [("--polygon", "4", "--R", "1"),
+                                        ("--solid", "cube", "--c", "1")])
+    def test_negative_L_is_refused(self, capsys, figure):
+        for backend in ("float", "exact"):
+            for average in ((), ("--average",)):
+                code, out, err = run_cli(capsys, "eval", *figure, "--L=-2", "--m", "3",
+                                         "--backend", backend, *average)
+                assert (code, out) == (2, "")
+                assert "L must be >= 0" in err
+
+    def test_negative_solid_circumradius_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--solid", "cube", "--R=-1",
+                               "--L", "1", "--m", "3")
+        assert code == 2
+        assert "circumradius must be positive" in err
+
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "eval", "--polygon", "4", "--solid", "cube",
@@ -175,6 +191,14 @@ class TestSolveRecover:
         assert code == 0
         assert "R^2 = 3, L^2 = 1" in out
 
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    @pytest.mark.parametrize("space", [(), ("--space",)])
+    def test_recover_refuses_s4_below_s2_squared(self, capsys, backend, space):
+        code, out, err = run_cli(capsys, "recover", "--s2", "1", "--s4=-1",
+                                 "--backend", backend, *space)
+        assert (code, out) == (2, "")
+        assert "S4 < S2^2" in err
+
 
 class TestPlot:
     def test_alpha_csv_constant_within_range(self, capsys):
@@ -225,10 +249,11 @@ class TestPlot:
         assert f'r="{450.0 / 2.3 * 2:.2f}"' in out
         assert "locus: circle L=2" in out
 
-    def test_kind_output_mismatch_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_usage_error(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, "plot", "locus-circle", "--polygon", "4", "--R", "1",
-                    "--m", "3", "--C", "980", "--output", "csv")
+            run_cli(capsys, "plot", "powersum-vs-L", "--polygon", "4", "--R", "1",
+                    "--m", "2", "--samples", samples)
         assert exc.value.code == 1
 
 

@@ -7,13 +7,13 @@ import pytest
 
 from cyclicavg.errors import OutOfRangeError
 from cyclicavg.fields import Surd
+from cyclicavg.polygon import polygon_distances_sq_exact
 from cyclicavg.geometry import (
     PlanePlacement,
     PolygonSpec,
     SolidKind,
     SolidSpec,
     SpacePlacement,
-    distance_sq_from_cos,
     heron_area_16sq,
     polygon_distance_sq,
     polygon_side_sq,
@@ -72,10 +72,11 @@ def test_exact_distances_match_cartesian_at_alpha_zero(n):
     # Cartesian computation is rational too: d^2 = (L - R c)^2 + R^2 (1 - c^2)
     R, L = Fraction(3, 2), Fraction(5, 7)
     cycle = RATIONAL_COS_CYCLES[n]
+    d_sq = polygon_distances_sq_exact(n, R, L)
     for i in range(n):
         c = cycle[(-i) % n]
         expected = (L - R * c) ** 2 + R * R * (1 - c * c)
-        assert distance_sq_from_cos(R, L, c) == expected
+        assert d_sq[i] == expected
 
 
 def test_sum_basis_invariant():
@@ -190,6 +191,9 @@ def test_solid_spec_from_circumradius():
         assert spec.R == pytest.approx(2.5)
         for v in solid_vertices(kind, spec.c):
             assert sum(t * t for t in v) == pytest.approx(6.25)
+        for R in (0.0, -1.0):
+            with pytest.raises(OutOfRangeError, match="circumradius must be positive"):
+                SolidSpec.from_circumradius(kind, R)
 
 
 def test_solid_kind_parse():

@@ -11,7 +11,7 @@ from cyclicavg.errors import (
     OutOfRangeError,
 )
 from cyclicavg.fields import Surd
-from cyclicavg.geometry import PlanePlacement, PolygonSpec
+from cyclicavg.geometry import PlanePlacement, PolygonSpec, polygon_distances_sq
 from cyclicavg.polygon import (
     circumcircle_residual,
     cyclic_average,
@@ -26,6 +26,7 @@ from cyclicavg.polygon import (
     s2m_from_s2,
     s2m_from_s2_s4,
 )
+from cyclicavg.solids import recover_r2_l2_solid
 
 
 class TestClosedForm:
@@ -220,6 +221,29 @@ class TestAverageConversions:
         assert set(recover_r2_l2(Fraction(1), Fraction(1))) == {0, 1}   # centroid
         with pytest.raises(NegativeDiscriminantError):
             recover_r2_l2(1.0, 2.0)
+
+    @pytest.mark.parametrize("recover", [recover_r2_l2, recover_r2_l2_solid])
+    def test_recover_refuses_s4_below_s2_squared(self, recover):
+        # S4 - S2^2 = (4/dim) R^2 L^2 is never negative; exact data get no allowance
+        for s2, s4 in ((1.0, -1.0), (2.0, 3.9), (Fraction(1), Fraction(-1)),
+                       (Fraction(1), 1 - Fraction(1, 10 ** 30))):
+            with pytest.raises(InvalidAverageError, match="S4 < S2"):
+                recover(s2, s4)
+
+    def test_recover_accepts_float_centroid_data(self):
+        # at L = 0 rounding can put S4 just below S2^2; that is genuine data
+        rng = random.Random(3)
+        below = 0
+        for n in range(3, 65):
+            for _ in range(5):
+                d_sq = polygon_distances_sq(PolygonSpec(n, rng.uniform(0.2, 3.0)),
+                                            PlanePlacement(0.0, rng.uniform(0, 6.3)))
+                s2 = math.fsum(d_sq) / n
+                s4 = math.fsum(d * d for d in d_sq) / n
+                below += s4 < s2 * s2
+                hi, lo = recover_r2_l2(s2, s4)
+                assert hi == pytest.approx(s2) and abs(lo) <= 1e-12 * s2
+        assert below > 0
 
     def test_recover_round_trip_exact(self):
         rng = random.Random(13)
