@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     InvalidAverageError,
@@ -28,9 +28,9 @@ from .errors import (
     NonRationalInputError,
     OutOfRangeError,
 )
-from .fields import Rational, Scalar, is_exact, power, sqrt_scalar
+from .fields import Rational, Scalar, is_exact, sqrt_scalar
 from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq, sum_basis
-from .intpoly import cyclotomic, divmod_monic, poly_mul
+from .intpoly import cyclotomic, divmod_monic
 
 
 _HALF = Fraction(1, 2)
@@ -136,14 +136,12 @@ def power_sum_brute(spec: PolygonSpec, m: int, p: PlanePlacement) -> float:
     return _power_sum(polygon_distances_sq(spec, p), m)
 
 
-def _vertex_elements(n: int, R: Rational, L: Rational, cycle_n: int | None,
-                     offset: int) -> tuple[int, list[tuple[int, ...]], tuple[int, ...]]:
-    """(2D, [2D d_i^2 for i = 0..n-1], Phi_N): distances in Z[x]/Phi_N, x = zeta_N.
+def _vertex_turns(n: int, R: Rational, L: Rational, cycle_n: int | None,
+                  offset: int) -> tuple[int, int, int, int, list[int]]:
+    """(N, 2a, b, 2D, [e_i]): vertex i is 2D d_i^2 = 2a - b (x^e_i + x^-e_i), x = zeta_N.
 
-    The placement angle is alpha = offset * 2*pi/N with N = cycle_n (default
-    n), so vertex i sits at the turn e = offset - i*N/n of the N-cycle.  With
-    A = R^2 + L^2 = a/D and B = 2RL = b/D over one denominator D and
-    2 cos(2*pi*e/N) = x^e + x^-e, vertex i gives 2D d_i^2 = 2a - b (x^e + x^-e).
+    N = cycle_n (default n); e_i = offset - i*N/n is folded to 0..N/2 as cos
+    is even; A = R^2 + L^2 = a/D and B = 2RL = b/D share one denominator D.
     """
     if not (isinstance(R, (int, Fraction)) and isinstance(L, (int, Fraction))):
         raise NonRationalInputError("the exact polygon oracle needs int or Fraction R and L")
@@ -156,22 +154,8 @@ def _vertex_elements(n: int, R: Rational, L: Rational, cycle_n: int | None,
         raise OutOfRangeError(f"cycle {N} is not a positive multiple of n={n}")
     A, B = sum_basis(Fraction(R), Fraction(L))
     D = math.lcm(A.denominator, B.denominator)
-    a, b = int(A * D), int(B * D)
-    phi = cyclotomic(N).coeffs
-    by_turn: dict[int, tuple[int, ...]] = {}
-    out = []
-    for i in range(n):
-        e = (offset - i * (N // n)) % N
-        e = min(e, N - e)  # cos is even: mirror vertices share one element
-        if e not in by_turn:
-            x_e = [0] * N
-            x_e[e] += 1
-            x_e[-e % N] += 1
-            v = [-b * c for c in divmod_monic(x_e, phi)[1]]
-            v[0] += 2 * a
-            by_turn[e] = tuple(v)
-        out.append(by_turn[e])
-    return 2 * D, out, phi
+    turns = [min((offset - i * N // n) % N, (i * N // n - offset) % N) for i in range(n)]
+    return N, 2 * int(A * D), int(B * D), 2 * D, turns
 
 
 def polygon_distances_sq_exact(n: int, R: Rational, L: Rational,
@@ -179,42 +163,58 @@ def polygon_distances_sq_exact(n: int, R: Rational, L: Rational,
                                offset: int = 0) -> tuple[Fraction, ...]:
     """Exact squared distances at alpha = offset * 2*pi/cycle_n, all rational.
 
-    cycle_n is a multiple of n (default n).  Where a vertex's squared distance
-    is irrational this raises OutOfRangeError; power_sum_brute_exact still
-    sums such placements exactly.
+    cycle_n is a multiple of n (default n).  Each is the m = 1 sum of one
+    vertex at its turn; where one is irrational this raises OutOfRangeError,
+    though power_sum_brute_exact still sums such placements exactly.
     """
-    scale, elements, _ = _vertex_elements(n, R, L, cycle_n, offset)
-    if any(any(v[1:]) for v in elements):
+    N, _, _, _, turns = _vertex_turns(n, R, L, cycle_n, offset)
+    d_sq = {e: _power_sums_exact(1, (1,), R, L, N, e)[0] for e in set(turns)}
+    if None in d_sq.values():
         raise OutOfRangeError(f"irrational squared distances for n={n} on cycle "
                               f"{cycle_n or n} at offset {offset}")
-    return tuple(Fraction(v[0], scale) for v in elements)
+    return tuple(d_sq[e] for e in turns)
+
+
+def _power_sums_exact(n: int, ms: Iterable[int], R: Rational, L: Rational,
+                      cycle_n: int | None, offset: int) -> list[Fraction | None]:
+    """Exact sums of d^(2m) at alpha = offset * 2*pi/cycle_n for every m in ms.
+
+    A product by a vertex element 2a - b (x^e + x^-e) of Z[x]/(x^N - 1) is
+    two index shifts and stays palindromic, so only v[0..N/2] is kept.  One
+    chain of products runs per distinct turn, weighted by its vertex count.
+    Each wanted total is reduced by Phi_N once; it is None (irrational) where
+    a non-constant coordinate remains.  The closed form is never consulted.
+    """
+    ms = tuple(ms)
+    if min(ms) < 1:
+        raise OutOfRangeError("power index m must be >= 1")
+    N, two_a, b, scale, turns = _vertex_turns(n, R, L, cycle_n, offset)
+    h = N // 2
+    chains = []
+    for e, count in collections.Counter(turns).items():
+        down = [abs(k - e) for k in range(h + 1)]  # |k - e| <= N/2: already folded
+        up = [k + e if k + e <= h else N - k - e for k in range(h + 1)]
+        v, chain = [count] + [0] * h, []
+        for _ in range(max(ms)):
+            v = [two_a * x - b * (v[i] + v[j]) for x, i, j in zip(v, down, up)]
+            chain.append(v)
+        chains.append(chain)
+    sums = []
+    for m in ms:
+        total = [sum(c) for c in zip(*(chain[m - 1] for chain in chains))]
+        rem = divmod_monic([total[min(k, N - k)] for k in range(N)], cyclotomic(N).coeffs)[1]
+        sums.append(None if any(rem[1:]) else Fraction(rem[0], scale ** m))
+    return sums
 
 
 def power_sum_brute_exact(n: int, m: int, R: Rational, L: Rational,
                           cycle_n: int | None = None, offset: int = 0) -> Fraction:
-    """Exact oracle: sum of d^(2m) at alpha = offset * 2*pi/cycle_n.
-
-    Each distinct vertex element of Z[x]/Phi_N is raised to the m-th power
-    once and weighted by its vertex count.  A rational sum has every
-    non-constant coordinate zero, so any other result raises OutOfRangeError
-    instead of being truncated.  The closed form is never consulted.
-    """
-    if m < 1:
-        raise OutOfRangeError("power index m must be >= 1")
-    scale, elements, phi = _vertex_elements(n, R, L, cycle_n, offset)
-
-    def mul(u: Sequence[int], v: Sequence[int]) -> list[int]:
-        return divmod_monic(poly_mul(u, v), phi)[1]
-
-    total = [0] * (len(phi) - 1)
-    one = [1] + total[1:]
-    for v, count in collections.Counter(elements).items():
-        for j, c in enumerate(power(v, m, mul, one)):
-            total[j] += count * c
-    if any(total[1:]):
+    """Exact oracle: sum of d^(2m) at alpha = offset * 2*pi/cycle_n; irrational sums raise."""
+    value = _power_sums_exact(n, (m,), R, L, cycle_n, offset)[0]
+    if value is None:
         raise OutOfRangeError(f"the sum is irrational for n={n}, m={m} on cycle "
                               f"{cycle_n or n} at offset {offset}")
-    return Fraction(total[0], scale ** m)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +304,14 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     """
     if not s2 > 0:
         raise InvalidAverageError("S2 must be positive")
-    gap = s4 - s2 * s2  # (4/dim) R^2 L^2; floats may round it below zero
+    gap = s4 - _finite(s2 * s2)  # (4/dim) R^2 L^2; floats may round it below zero
     if gap < 0 and (is_exact(gap) or gap < -1e-12 * s2 * s2):
         raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
     disc = (dim + 1) * s2 * s2 - dim * s4
     if disc < 0:
         raise NegativeDiscriminantError(
             f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
-    root = sqrt_scalar(disc)
+    root = sqrt_scalar(_finite(disc))
     return (_HALF * (s2 + root), _HALF * (s2 - root))
 
 
@@ -337,7 +337,7 @@ def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:
     """S^(2m) from S2 and S4 alone: eliminates R^2 via S4 - S2^2 = 2 R^2 L^2."""
     if m < 3:
         raise OutOfRangeError("conversion defined for m >= 3")
-    gap = s4 - s2 * s2
+    gap = s4 - _finite(s2 * s2)
     if gap < 0:
         raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
     return _finite(_design_sum(m, 2, s2, _HALF * gap))

@@ -28,10 +28,10 @@ from .geometry import (
     solid_vertices,
 )
 from .polygon import (
+    _power_sums_exact,
     circumcircle_residual,
     per_vertex_power_sum_sq,
     power_sum_brute,
-    power_sum_brute_exact,
     power_sum_closed_sq,
     recover_r2_l2,
 )
@@ -131,16 +131,15 @@ def sweep_alpha_boundary(seed: int) -> list[SweepRow]:
 
 
 def sweep_exact_interpolation(seed: int) -> SweepRow:
-    # polynomial identity in L^2 for the 24-gon: closed form against the
-    # exact vertex sum in Z[zeta_24] at m+1 distinct rational nodes L
+    # polynomial identity in L^2 for the 24-gon: closed form against the exact
+    # vertex sum in Z[zeta_24] at m+1 rational nodes L, one pass per node
     del seed  # fully deterministic
     checks = 0
-    for m in range(1, 24):
-        for j in range(m + 1):
-            L = Fraction(2 * j + 1, 3)
-            closed = power_sum_closed_sq(24, m, Fraction(1), L * L)
-            brute = power_sum_brute_exact(24, m, Fraction(1), L)
-            if brute != closed:
+    for j in range(24):
+        L = Fraction(2 * j + 1, 3)
+        ms = range(max(1, j), 24)
+        for m, brute in zip(ms, _power_sums_exact(24, ms, Fraction(1), L, None, 0)):
+            if brute != power_sum_closed_sq(24, m, Fraction(1), L * L):
                 return SweepRow("exact 24-gon interpolation identity, m=1..23",
                                 checks, math.inf, False)
             checks += 1

@@ -199,6 +199,14 @@ class TestSolveRecover:
         assert (code, out) == (2, "")
         assert "S4 < S2^2" in err
 
+    @pytest.mark.parametrize("averages", [("1e200", "1e300"), ("1e154", "1.4e308")])
+    @pytest.mark.parametrize("space", [(), ("--space",)])
+    def test_recover_refuses_float_overflow(self, capsys, averages, space):
+        code, out, err = run_cli(capsys, "recover", "--s2", averages[0],
+                                 "--s4", averages[1], *space)
+        assert (code, out) == (2, "")
+        assert "overflows" in err
+
 
 class TestPlot:
     def test_alpha_csv_constant_within_range(self, capsys):

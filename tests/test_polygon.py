@@ -230,6 +230,14 @@ class TestAverageConversions:
             with pytest.raises(InvalidAverageError, match="S4 < S2"):
                 recover(s2, s4)
 
+    @pytest.mark.parametrize("recover", [recover_r2_l2, recover_r2_l2_solid])
+    @pytest.mark.parametrize("s2, s4", [(1e200, 1e300), (1e154, 1.4e308)])
+    def test_recover_refuses_float_overflow(self, recover, s2, s4):
+        # S2^2, or (dim+1) S2^2 in the discriminant, overflows: inf - inf must
+        # not slip past the guards as R^2 = inf or nan
+        with pytest.raises(OutOfRangeError, match="overflows"):
+            recover(s2, s4)
+
     def test_recover_accepts_float_centroid_data(self):
         # at L = 0 rounding can put S4 just below S2^2; that is genuine data
         rng = random.Random(3)
@@ -274,6 +282,9 @@ class TestAverageConversions:
             s2m_from_s2_s4(3, 2.0, 1.0)
         with pytest.raises(OutOfRangeError):
             s2m_from_s2_s4(2, 5.0, 33.0)
+        # an S2^2 that overflows is not data with S4 < S2^2
+        with pytest.raises(OutOfRangeError, match="overflows"):
+            s2m_from_s2_s4(3, 1e200, 1e300)
 
     def test_conversions_agree(self):
         rng = random.Random(17)
