@@ -296,6 +296,19 @@ def locus_classify(spec: Figure, m: int, C: Scalar) -> Locus:
 # conversions between averages and (R^2, L^2)
 
 
+def _s4_gap(s2: Scalar, s4: Scalar) -> Scalar:
+    """S4 - S2^2, which genuine data keep >= 0; exact inputs get no tolerance.
+
+    Floats may round the gap below zero: down to -1e-12 S2^2 it reads as 0.
+    """
+    gap = s4 - _finite(s2 * s2)
+    if not gap < 0:
+        return gap
+    if is_exact(gap) or gap < -1e-12 * s2 * s2:
+        raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
+    return 0.0
+
+
 def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     """{R^2, L^2} from S2 = R^2 + L^2 and S4 = S2^2 + (4/dim) R^2 L^2.
 
@@ -304,9 +317,7 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     """
     if not s2 > 0:
         raise InvalidAverageError("S2 must be positive")
-    gap = s4 - _finite(s2 * s2)  # (4/dim) R^2 L^2; floats may round it below zero
-    if gap < 0 and (is_exact(gap) or gap < -1e-12 * s2 * s2):
-        raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
+    _s4_gap(s2, s4)  # (4/dim) R^2 L^2, refused when negative
     disc = (dim + 1) * s2 * s2 - dim * s4
     if disc < 0:
         raise NegativeDiscriminantError(
@@ -337,10 +348,7 @@ def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:
     """S^(2m) from S2 and S4 alone: eliminates R^2 via S4 - S2^2 = 2 R^2 L^2."""
     if m < 3:
         raise OutOfRangeError("conversion defined for m >= 3")
-    gap = s4 - _finite(s2 * s2)
-    if gap < 0:
-        raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
-    return _finite(_design_sum(m, 2, s2, _HALF * gap))
+    return _finite(_design_sum(m, 2, s2, _HALF * _s4_gap(s2, s4)))
 
 
 def _sphere_residual(dim: int, d_sq: Sequence[Scalar]) -> Scalar:

@@ -251,7 +251,21 @@ class TestAverageConversions:
                 below += s4 < s2 * s2
                 hi, lo = recover_r2_l2(s2, s4)
                 assert hi == pytest.approx(s2) and abs(lo) <= 1e-12 * s2
+                assert s2m_from_s2_s4(3, s2, s4) == pytest.approx(s2 ** 3, rel=1e-12)
         assert below > 0
+
+    def test_s2m_reads_float_noise_below_s2_squared_as_zero_gap(self):
+        # the hexagon with R = 0.3 measured at its centre: S4 rounds below S2^2,
+        # which recover_r2_l2 and s2m_from_s2_s4 must both accept as L = 0
+        d_sq = polygon_distances_sq(PolygonSpec(6, 0.3), PlanePlacement(0.0, 0.0))
+        s2 = math.fsum(d_sq) / 6
+        s4 = math.fsum(d * d for d in d_sq) / 6
+        assert (s2, s4) == (0.09000000000000001, 0.0081) and s4 < s2 * s2
+        assert max(recover_r2_l2(s2, s4)) == pytest.approx(0.09)
+        assert s2m_from_s2_s4(3, s2, s4) == pytest.approx(0.000729, rel=1e-12)
+        # exact data get no allowance
+        with pytest.raises(InvalidAverageError, match="S4 < S2"):
+            s2m_from_s2_s4(3, Fraction(1), 1 - Fraction(1, 10 ** 30))
 
     def test_recover_round_trip_exact(self):
         rng = random.Random(13)

@@ -1,12 +1,20 @@
+import dataclasses
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from cyclicavg.verify import run_verify
+from cyclicavg import verify
+from cyclicavg.verify import SCOPES, run_verify
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.json"
 DIGESTS = json.loads(WORKLOADS.read_text())["workloads"]["verify-all"]["verify_digests"]
 
 
@@ -19,7 +27,75 @@ def test_verify_text_matches_recorded_digest(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[str(seed)]
 
 
+def _sections(text: str) -> dict[str, list[str]]:
+    sections: dict[str, list[str]] = {}
+    current = None
+    for line in text.splitlines():
+        if line.startswith("-- "):
+            current = sections.setdefault(line.split()[1], [])
+        elif line.startswith("="):
+            current = None
+        elif current is not None:
+            current.append(line)
+    return sections
+
+
 def test_scopes_are_subsets():
-    text, ok = run_verify("solid", 11)
+    # every scope prints, line for line, its sections of the digest-pinned
+    # "all" text
+    full, ok = run_verify("all", 11)
     assert ok
-    assert "-- solid" in text and "-- polygon" not in text
+    full_sections = _sections(full)
+    assert list(full_sections) == ["polygon", "solid", "rational"]
+    for scope in SCOPES[1:]:
+        text, ok = run_verify(scope, 11)
+        assert ok
+        assert _sections(text) == {scope: full_sections[scope]}
+
+
+def test_nan_residual_fails_its_row(monkeypatch):
+    # min and max skip a NaN that does not come first, so the oracle turns NaN
+    # only midway through each sweep, at n = 5
+    real = verify.power_sum_brute
+    monkeypatch.setattr(verify, "power_sum_brute",
+                        lambda spec, m, p: math.nan if spec.n == 5 else real(spec, m, p))
+    row = verify.sweep_closed_vs_brute(7)
+    assert not row.passed and math.isnan(row.max_rel)
+    free, witness = verify.sweep_alpha_boundary(7)
+    assert not free.passed and math.isnan(free.max_rel)
+    assert not witness.passed and math.isnan(witness.max_rel)
+
+
+def test_failed_certificate_reports_a_miss(monkeypatch):
+    # an exact row that misses shows the checks before the miss and inf
+    real = verify.certify_no_small_factor
+    monkeypatch.setattr(verify, "certify_no_small_factor",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), certified=False))
+    row = verify.sweep_octic(0)[-1]
+    assert (row.checks, row.max_rel, row.passed) == (0, math.inf, False)
+    assert row.note.startswith("method=")
+
+
+def test_benchmark_tracer_spans_every_sweep():
+    # the tracer rebinds module attributes, so a sweep called through a
+    # container would run unspanned
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from cyclicavg import verify
+        import tracing
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        tracer.begin_op()
+        verify.run_verify("all", 7)
+        tracer.end_op()
+        calls = tracer.times()[2]
+        print(json.dumps([tracing.VERIFY_SWEEPS, calls]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script, str(ROOT / "perfbench")],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    sweeps, calls = json.loads(out.stdout)
+    assert len(sweeps) == 15
+    for name in [f"verify.{sweep}" for sweep in sweeps] + ["verify.errata_rows"]:
+        assert calls.get(name, 0) >= 1, name
