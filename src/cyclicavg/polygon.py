@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     InvalidAverageError,
@@ -234,28 +234,46 @@ class Locus:
         return self.kind
 
 
-def bisect_radius_sq(f: Callable[[float], float], target: float) -> float:
-    """Unique root in L^2 of the monotone map f(L^2) = target, by bisection."""
+@functools.lru_cache(maxsize=256)
+def _u_coefficients(m: int, dim: int) -> tuple[Rational, ...]:
+    """q_0..q_m, all > 0: _design_sum(m, dim, r + u, r u) = sum_j q_j r^(m-j) u^j."""
+    c = (1,) + design_coefficients(m, dim)
+    return tuple(sum(c[k] * math.comb(m - 2 * k, j - k) for k in range(min(j, m - j) + 1))
+                 for j in range(m + 1))
 
-    def value(u: float) -> float:
-        try:
-            return f(u)
-        except OverflowError:
-            return math.inf
 
-    lo = 0.0
-    hi = 1.0
-    while value(hi) < target:
-        hi *= 2.0
-        if hi > 1e200:
-            raise OutOfRangeError("target sum out of reachable range")
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _radius_sq(q: tuple[Rational, ...], n: int, r: float, C: float) -> float:
+    """The root u = L^2 of n sum_j q_j r^(m-j) u^j = C, by monotone Newton.
+
+    With w = (C/n)^(1/m) and u = w s this reads sum_j b_j s^j = 1 for
+    b_j = q_j (r/w)^(m-j), whose root lies in (0, 1], so no term overflows.
+    The polynomial is increasing and convex for s >= 0: Newton from the upper
+    bound min_j b_j^(-1/j) descends monotonically, until an iterate no
+    longer decreases.
+    """
+    m = len(q) - 1
+    w = (C / n) ** (1.0 / m)
+    b = [qj * (r / w) ** (m - j) for j, qj in enumerate(q)]
+    s = min((bj ** (-1.0 / j) for j, bj in enumerate(b) if j and bj > 1.0), default=1.0)
+    b[0] -= 1.0
+    b.reverse()
+    while True:
+        p = dp = 0.0
+        for bj in b:
+            dp = dp * s + p
+            p = p * s + bj
+        s_next = max(s - p / dp, 0.0)  # clamps only where C rounds to n r^m
+        if not s_next < s:
+            return w * s
+        s = s_next
+
+
+def _float(x: Scalar) -> float:
+    """float(x), refused where it overflows."""
+    try:
+        return _finite(float(x))
+    except OverflowError:
+        return _finite(math.inf)
 
 
 def _classify(spec: Figure, m: int, C: Scalar) -> Locus:
@@ -276,14 +294,12 @@ def _classify(spec: Figure, m: int, C: Scalar) -> Locus:
         except OverflowError:
             nf = math.inf
         nf = _finite(nf)
-        cf = float(C)
+        cf = _float(C)
         if abs(cf - nf) <= 1e-12 * nf:
             return Locus("centroid")
         if cf < nf:
             return Locus("empty")
-    r_sq_f = float(r_sq)
-    root = bisect_radius_sq(
-        lambda u: n * float(_design_sum(m, dim, r_sq_f + u, r_sq_f * u)), float(C))
+    root = _radius_sq(_u_coefficients(m, dim), n, _float(r_sq), _float(C))
     return Locus("circle" if dim == 2 else "sphere", math.sqrt(root))
 
 
@@ -323,7 +339,8 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
         raise NegativeDiscriminantError(
             f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
     root = sqrt_scalar(_finite(disc))
-    return (_HALF * (s2 + root), _HALF * (s2 - root))
+    low = _HALF * (s2 - root)  # a float may round below 0 at the centre
+    return (_HALF * (s2 + root), max(low, 0.0) if isinstance(low, float) else low)
 
 
 def recover_r2_l2(s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:

@@ -150,6 +150,9 @@ class TestFloatOverflow:
         ("solve", "--polygon", "3", "--R", "1", "--L", "1", "--d1sq", "1e400"),
         ("oracle", "--solid", "cube", "--x", "1", "--y", "1", "--z", "1e400", "--m", "2"),
         ("eval", "--solid", "cube", "--R", "1e400", "--L", "1", "--m", "2"),
+        # an exact constant is decided exactly, but its radius is a float
+        ("locus", "--backend", "exact", "--polygon", "4", "--R", "1", "--m", "2",
+         "--C", "1" + "0" * 400),
     ])
     def test_overflow_is_a_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -190,6 +193,13 @@ class TestSolveRecover:
                                "--space", "--backend", "exact")
         assert code == 0
         assert "R^2 = 3, L^2 = 1" in out
+
+    def test_recover_centre_data_gives_zero_square(self, capsys):
+        # the R = 0.3 hexagon measured at its centre: the float root rounds below 0
+        code, out, _ = run_cli(capsys, "recover", "--s2", "0.09000000000000001",
+                               "--s4", "0.0081")
+        assert code == 0
+        assert "plus : R^2 = 0.09, L^2 = 0\n" in out
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
     @pytest.mark.parametrize("space", [(), ("--space",)])

@@ -13,6 +13,9 @@ from cyclicavg.errors import (
 from cyclicavg.fields import Surd
 from cyclicavg.geometry import PlanePlacement, PolygonSpec, polygon_distances_sq
 from cyclicavg.polygon import (
+    _design_sum,
+    _u_coefficients,
+    Locus,
     circumcircle_residual,
     cyclic_average,
     locus_classify,
@@ -194,6 +197,9 @@ class TestLocus:
         circle = locus_classify(PolygonSpec(4, Fraction(1)), 3, Fraction(980))
         assert circle.kind == "circle" and isinstance(circle.L, float)
         assert circle.L == pytest.approx(2.0, rel=1e-10)
+        # exactly above the centre value, but equal to it as floats
+        near = locus_classify(PolygonSpec(4, Fraction(1)), 2, 4 + Fraction(1, 10 ** 30))
+        assert near == Locus("circle", 0.0)
 
     def test_round_trip(self):
         rng = random.Random(31)
@@ -206,6 +212,41 @@ class TestLocus:
             locus = locus_classify(PolygonSpec(n, R), m, C)
             assert locus.kind == "circle"
             assert locus.L == pytest.approx(L, rel=1e-9)
+
+    @staticmethod
+    def _backward_error(n, m, R, C):
+        locus = locus_classify(PolygonSpec(n, R), m, C)
+        assert locus.kind == "circle"
+        return abs(power_sum_closed_sq(n, m, R * R, locus.L * locus.L) - C) / C
+
+    def test_backward_error(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            n = rng.randint(3, 64)
+            m = rng.randint(1, n - 1)
+            R, L = rng.uniform(1e-4, 10.0), rng.uniform(1e-4, 10.0)
+            C = power_sum_closed_sq(n, m, R * R, L * L)
+            assert self._backward_error(n, m, R, C) <= 1e-13, (n, m, R, L)
+
+    @pytest.mark.parametrize("n, R, m, C", [
+        # a relative step-size stop never fires on these two
+        (9, 1.0807724743899378, 5, 1896.666399950361),
+        (42, 0.5479102991241604, 36, 344.7760298613689),
+        # just off the centre value, and near the largest float
+        (64, 1.0, 63, 64 * (1 + 1e-9)),
+        (64, 1.0, 63, 1.7e308),
+    ])
+    def test_hard_constants(self, n, R, m, C):
+        assert self._backward_error(n, m, R, C) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_u_coefficients_expand_the_design_sum(self, dim):
+        r, u = Fraction(3, 7), Fraction(5, 11)
+        for m in range(1, 25):
+            q = _u_coefficients(m, dim)
+            assert q[0] == q[m] == 1 and all(qj > 0 for qj in q)
+            assert sum(qj * r ** (m - j) * u ** j for j, qj in enumerate(q)) \
+                == _design_sum(m, dim, r + u, r * u)
 
     def test_rejects_invalid_inputs(self):
         with pytest.raises(OutOfRangeError):

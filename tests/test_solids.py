@@ -151,6 +151,19 @@ class TestLocus:
                 assert locus.kind == "sphere"
                 assert locus.L == pytest.approx(L, rel=1e-9)
 
+    def test_backward_error(self):
+        rng = random.Random(23)
+        for kind in ALL_KINDS:
+            for m in range(1, MAX_POWER_INDEX[kind] + 1):
+                for _ in range(50):
+                    spec = SolidSpec(kind, rng.uniform(1e-4, 10.0))
+                    L = rng.uniform(1e-4, 10.0)
+                    C = solid_power_sum_closed(spec, m, L)
+                    locus = solid_locus_classify(spec, m, C)
+                    assert locus.kind == "sphere"
+                    back = solid_power_sum_closed(spec, m, locus.L)
+                    assert abs(back - C) / C <= 1e-13, (kind, m, spec.c, L)
+
 
 class TestRelations:
     def test_recover_reference_values(self):
