@@ -81,7 +81,6 @@ from .relations import (
     triangle_symmetric_residual,
 )
 from .solids import (
-    MAX_POWER_INDEX,
     antipodal_pair_sums,
     circumsphere_residual,
     cube_quadruple_residuals,

@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
     figure.add_argument("--polygon", type=int, metavar="N",
                         help="regular polygon with N vertices")
     figure.add_argument("--solid", type=str, metavar="KIND",
-                        help="tetrahedron|octahedron|cube|icosahedron|dodecahedron")
+                        help="|".join(kind.value for kind in SolidKind))
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,17 +157,17 @@ def build_parser() -> _Parser:
 
 
 def _figure(args, parser: _Parser, exact: bool):
-    if bool(args.polygon) == bool(args.solid):
+    if (args.polygon is None) == (args.solid is None):
         parser.error("exactly one of --polygon/--solid is required")
-    if args.polygon:
+    if args.polygon is not None:
         if not 3 <= args.polygon <= MAX_CLI_VERTICES:
             parser.error(f"--polygon must be in 3..{MAX_CLI_VERTICES}")
-        R = _parse_number(args.R, exact) if args.R else (Fraction(1) if exact else 1.0)
+        R = _parse_number(args.R, exact) if args.R is not None else (Fraction(1) if exact else 1.0)
         return PolygonSpec(args.polygon, R)
     kind = SolidKind.parse(args.solid)
-    if getattr(args, "c", None):
+    if getattr(args, "c", None) is not None:
         return SolidSpec(kind, _parse_number(args.c, exact))
-    if args.R:
+    if args.R is not None:
         if exact:
             parser.error("exact solids are parameterised by --c (R is "
                          "irrational for rational scales); use --c or float")

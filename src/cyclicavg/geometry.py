@@ -5,9 +5,9 @@ Conventions used throughout the library:
 * vertices are numbered 1..n,
 * polygon vertex i sits at angle (i-1) * 2*pi/n on the circumcircle, and the
   polar angle ``alpha`` of a plane placement is measured from vertex 1,
-* all five solids are centred on the origin with the vertex orders fixed by
-  the coordinate tables below; consecutive vertices 2j-1, 2j of every
-  centrally symmetric solid are antipodal.
+* all five solids are centred on the origin, with vertex orders fixed by
+  the tables below: vertices 2j-1, 2j of every centrally symmetric solid are
+  antipodal, and each solid's n and R^2/c^2 are read off its table.
 
 Distances are handled squared wherever possible: every identity in the
 library is polynomial in squared distances, squared circumradius and squared
@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from operator import itemgetter
+from typing import ClassVar
 
 from .errors import OutOfRangeError
 from .fields import GOLDEN_RATIO, Scalar
@@ -68,30 +69,28 @@ class SolidKind(Enum):
 
     @property
     def n(self) -> int:
-        return _GEOMETRY[self][0]
+        return _SIZE[self][0]
 
     @property
     def t(self) -> int:
-        return _GEOMETRY[self][1]
+        return _STRENGTH[self]
 
     @classmethod
     def parse(cls, text: str) -> "SolidKind":
-        key = text.strip().lower()
-        for kind in cls:
-            if kind.value == key:
-                return kind
-        raise OutOfRangeError(f"unknown solid {text!r}; expected one of "
-                              + ", ".join(k.value for k in cls))
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise OutOfRangeError(f"unknown solid {text!r}; expected one of "
+                                  + ", ".join(k.value for k in cls)) from None
 
 
-# (vertex count n, design strength t, R^2 / c^2); the icosahedron's factor
-# 1 + phi^2 lies in Q(sqrt 5).
-_GEOMETRY = {
-    SolidKind.TETRAHEDRON: (4, 2, 3),
-    SolidKind.OCTAHEDRON: (6, 3, 1),
-    SolidKind.CUBE: (8, 3, 3),
-    SolidKind.ICOSAHEDRON: (12, 5, 1 + GOLDEN_RATIO ** 2),
-    SolidKind.DODECAHEDRON: (20, 5, 3),
+# Design strength t; every other fact about a solid is read off its table.
+_STRENGTH = {
+    SolidKind.TETRAHEDRON: 2,
+    SolidKind.OCTAHEDRON: 3,
+    SolidKind.CUBE: 3,
+    SolidKind.ICOSAHEDRON: 5,
+    SolidKind.DODECAHEDRON: 5,
 }
 
 
@@ -111,7 +110,7 @@ class SolidSpec:
     def from_circumradius(cls, kind: SolidKind, R: float) -> "SolidSpec":
         if not R > 0:
             raise OutOfRangeError("circumradius must be positive")
-        return cls(kind, R / math.sqrt(_GEOMETRY[kind][2]))
+        return cls(kind, R / math.sqrt(_SIZE[kind][1]))
 
     @property
     def n(self) -> int:
@@ -127,7 +126,7 @@ class SolidSpec:
 
     @property
     def R_sq(self) -> Scalar:
-        return _GEOMETRY[self.kind][2] * (self.c * self.c)
+        return _SIZE[self.kind][1] * (self.c * self.c)
 
     @property
     def R(self) -> float:
@@ -212,8 +211,25 @@ def polygon_side_sq(n: int, R_sq: Scalar) -> Scalar:
 # solids
 
 
-def _signed(c: Scalar, pattern: Sequence[int]) -> Triple:
-    return tuple(c * s for s in pattern)  # type: ignore[return-value]
+# One vertex v per antipodal pair, placed as v then -v (the tetrahedron, which
+# has no antipodes, whole), as signed indices into the scalars 0, c, c*phi and
+# c/phi: -k stands for the negated scalar k.  The dodecahedron contains the cube.
+_CUBE_PAIRS = ((-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
+_TABLES = {
+    SolidKind.TETRAHEDRON: ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)),
+    SolidKind.OCTAHEDRON: ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    SolidKind.CUBE: _CUBE_PAIRS,
+    SolidKind.ICOSAHEDRON: ((0, 1, 2), (0, -1, 2), (1, 2, 0), (1, -2, 0), (2, 0, 1), (2, 0, -1)),
+    SolidKind.DODECAHEDRON: _CUBE_PAIRS + ((0, 3, 2), (0, -3, 2), (3, 2, 0), (-3, 2, 0),
+                                          (2, 0, 3), (2, 0, -3)),
+}
+# (scalars needed, one getter per vertex in canonical order)
+_VERTICES = {
+    kind: (max(abs(i) for v in table for i in v),
+           tuple(itemgetter(*w) for v in table
+                 for w in ((v,) if kind is SolidKind.TETRAHEDRON else (v, tuple(-i for i in v)))))
+    for kind, table in _TABLES.items()
+}
 
 
 def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
@@ -222,51 +238,21 @@ def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
     Exact inputs give exact coordinates; the two golden-ratio solids then
     carry Surd components in Q(sqrt 5).
     """
-    if kind is SolidKind.TETRAHEDRON:
-        return (
-            _signed(c, (1, 1, 1)),
-            _signed(c, (1, -1, -1)),
-            _signed(c, (-1, 1, -1)),
-            _signed(c, (-1, -1, 1)),
-        )
-    if kind is SolidKind.OCTAHEDRON:
-        zero = c - c
-        return (
-            (c, zero, zero), (-c, zero, zero),
-            (zero, c, zero), (zero, -c, zero),
-            (zero, zero, c), (zero, zero, -c),
-        )
-    if kind is SolidKind.CUBE:
-        return (
-            _signed(c, (-1, -1, -1)), _signed(c, (1, 1, 1)),
-            _signed(c, (1, 1, -1)), _signed(c, (-1, -1, 1)),
-            _signed(c, (1, -1, 1)), _signed(c, (-1, 1, -1)),
-            _signed(c, (-1, 1, 1)), _signed(c, (1, -1, -1)),
-        )
-    if kind is SolidKind.ICOSAHEDRON:
-        f = c * GOLDEN_RATIO
-        zero = c - c
-        return (
-            (zero, c, f), (zero, -c, -f),
-            (zero, -c, f), (zero, c, -f),
-            (c, f, zero), (-c, -f, zero),
-            (c, -f, zero), (-c, f, zero),
-            (f, zero, c), (-f, zero, -c),
-            (f, zero, -c), (-f, zero, c),
-        )
-    if kind is SolidKind.DODECAHEDRON:
-        f = c * GOLDEN_RATIO
-        g = c / GOLDEN_RATIO
-        zero = c - c
-        return solid_vertices(SolidKind.CUBE, c) + (
-            (zero, g, f), (zero, -g, -f),
-            (zero, -g, f), (zero, g, -f),
-            (g, f, zero), (-g, -f, zero),
-            (-g, f, zero), (g, -f, zero),
-            (f, zero, g), (-f, zero, -g),
-            (f, zero, -g), (-f, zero, g),
-        )
-    raise OutOfRangeError(f"unknown solid kind {kind!r}")
+    depth, getters = _VERTICES[kind]
+    scalars = [c]
+    if depth > 1:
+        scalars.append(c * GOLDEN_RATIO)
+    if depth > 2:
+        scalars.append(c / GOLDEN_RATIO)
+    # index -k of (0, s_1..s_depth, -s_depth..-s_1) is -s_k
+    signed = (c - c, *scalars, *[-s for s in reversed(scalars)])
+    return tuple([get(signed) for get in getters])
+
+
+# (n, R^2 / c^2): the vertex count and the first vertex's squared norm at
+# c = 1; the icosahedron's 1 + phi^2 lies in Q(sqrt 5).
+_SIZE = {kind: (len(vs), sum(x * x for x in vs[0]))
+         for kind in SolidKind for vs in (solid_vertices(kind),)}
 
 
 def solid_distance_sq(spec: SolidSpec, p: SpacePlacement, i: int) -> Scalar:

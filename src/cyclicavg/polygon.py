@@ -61,11 +61,10 @@ def _design_sum(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
     return total
 
 
-def _finite(value: Scalar) -> Scalar:
+def _finite(value: Scalar, advice: str = "use smaller inputs or the exact backend") -> Scalar:
     """value, unless it is a float that overflowed."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise OutOfRangeError("the float result overflows; use smaller inputs "
-                              "or the exact backend")
+        raise OutOfRangeError(f"the float result overflows; {advice}")
     return value
 
 
@@ -179,30 +178,28 @@ def _power_sums_exact(n: int, ms: Iterable[int], R: Rational, L: Rational,
                       cycle_n: int | None, offset: int) -> list[Fraction | None]:
     """Exact sums of d^(2m) at alpha = offset * 2*pi/cycle_n for every m in ms.
 
-    A product by a vertex element 2a - b (x^e + x^-e) of Z[x]/(x^N - 1) is
-    two index shifts and stays palindromic, so only v[0..N/2] is kept.  One
-    chain of products runs per distinct turn, weighted by its vertex count.
-    Each wanted total is reduced by Phi_N once; it is None (irrational) where
-    a non-constant coordinate remains.  The closed form is never consulted.
+    Every vertex is 2a - b (y + 1/y) at y = x^e in Z[x]/(x^N - 1): one chain
+    of products expands its powers, and each is placed at every distinct
+    turn, weighted by its vertex count.  Each wanted total is reduced by Phi_N
+    once; it is None (irrational) where a non-constant coordinate remains.
+    The closed form is never consulted.
     """
     ms = tuple(ms)
     if min(ms) < 1:
         raise OutOfRangeError("power index m must be >= 1")
     N, two_a, b, scale, turns = _vertex_turns(n, R, L, cycle_n, offset)
-    h = N // 2
-    chains = []
-    for e, count in collections.Counter(turns).items():
-        down = [abs(k - e) for k in range(h + 1)]  # |k - e| <= N/2: already folded
-        up = [k + e if k + e <= h else N - k - e for k in range(h + 1)]
-        v, chain = [count] + [0] * h, []
-        for _ in range(max(ms)):
-            v = [two_a * x - b * (v[i] + v[j]) for x, i, j in zip(v, down, up)]
-            chain.append(v)
-        chains.append(chain)
+    counts = collections.Counter(turns).items()
+    p, chain = [1], []  # p[k] is the coefficient of y^(k - m)
+    for _ in range(max(ms)):
+        p = [two_a * x - b * (y + z) for x, y, z in zip([0] + p + [0], p + [0, 0], [0, 0] + p)]
+        chain.append(p)
     sums = []
     for m in ms:
-        total = [sum(c) for c in zip(*(chain[m - 1] for chain in chains))]
-        rem = divmod_monic([total[min(k, N - k)] for k in range(N)], cyclotomic(N).coeffs)[1]
+        total = [0] * N
+        for e, count in counts:
+            for k, coeff in enumerate(chain[m - 1]):
+                total[(k - m) * e % N] += count * coeff
+        rem = divmod_monic(total, cyclotomic(N).coeffs)[1]
         sums.append(None if any(rem[1:]) else Fraction(rem[0], scale ** m))
     return sums
 
@@ -271,9 +268,10 @@ def _radius_sq(q: tuple[Rational, ...], n: int, r: float, C: float) -> float:
 def _float(x: Scalar) -> float:
     """float(x), refused where it overflows."""
     try:
-        return _finite(float(x))
+        value = float(x)
     except OverflowError:
-        return _finite(math.inf)
+        value = math.inf
+    return _finite(value, "the locus radius is a float on every backend; use smaller inputs")
 
 
 def _classify(spec: Figure, m: int, C: Scalar) -> Locus:

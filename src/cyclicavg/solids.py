@@ -22,8 +22,7 @@ from .geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from .polygon import (Locus, _check_power, _classify, _design_sum, _finite, _power_sum,
                       _recover, _sphere_residual, cyclic_average, power_sum_closed)
 
-MAX_POWER_INDEX = {kind: kind.t for kind in SolidKind}
-_MAX_SOLID_POWER = max(MAX_POWER_INDEX.values())
+_MAX_SOLID_POWER = max(kind.t for kind in SolidKind)
 _SOLID_VERTEX_COUNTS = frozenset(kind.n for kind in SolidKind)
 
 
@@ -106,9 +105,6 @@ def solid_relation_residuals(kind: SolidKind, r_sq: Scalar, s2: Scalar,
     return rows
 
 
-_CUBE_QUADRUPLES = ((1, 3, 5, 7), (2, 4, 6, 8))
-
-
 def cube_quadruple_residuals(d_sq: Sequence[Scalar], r_sq: Scalar,
                              l_sq: Scalar) -> list[Scalar]:
     """Residuals of the two embedded-tetrahedron quadruples of a cube.
@@ -122,8 +118,8 @@ def cube_quadruple_residuals(d_sq: Sequence[Scalar], r_sq: Scalar,
     out: list[Scalar] = []
     for m in (1, 2):
         closed = 4 * per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
-        for quad in _CUBE_QUADRUPLES:
-            out.append(sum(d_sq[i - 1] ** m for i in quad) - closed)
+        for quad in (d_sq[0::2], d_sq[1::2]):
+            out.append(sum(d ** m for d in quad) - closed)
     return out
 
 

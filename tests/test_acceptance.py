@@ -44,7 +44,6 @@ from cyclicavg.relations import (
     triangle_symmetric_residual,
 )
 from cyclicavg.solids import (
-    MAX_POWER_INDEX,
     antipodal_pair_sums,
     circumsphere_residual,
     cube_quadruple_residuals,
@@ -234,7 +233,7 @@ def test_criterion_06_solid_oracle_equivalence_and_witnesses():
     worst = 0.0
     for kind in SolidKind:
         spec = SolidSpec(kind, rng.uniform(0.5, 2.0))
-        for m in range(1, MAX_POWER_INDEX[kind] + 1):
+        for m in range(1, kind.t + 1):
             for _ in range(100):
                 x, y, z = rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)
                 norm = math.sqrt(x * x + y * y + z * z) or 1.0
@@ -247,7 +246,7 @@ def test_criterion_06_solid_oracle_equivalence_and_witnesses():
     witnesses = {}
     for kind in SolidKind:
         spec = SolidSpec(kind, 1.0)
-        m = MAX_POWER_INDEX[kind] + 1
+        m = kind.t + 1
         L = spec.R
         dirs = []
         for v in solid_vertices(kind, 1.0):
@@ -281,7 +280,7 @@ def test_criterion_07_solid_relation_suite():
             p = SpacePlacement(x / norm * r, y / norm * r, z / norm * r)
             l_sq = float(p.L_sq)
             avgs = {m: per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
-                    for m in range(1, MAX_POWER_INDEX[kind] + 1)}
+                    for m in range(1, kind.t + 1)}
             for _, lhs, rhs in solid_relation_residuals(
                     kind, r_sq, avgs.get(1), avgs.get(2), avgs.get(3),
                     avgs.get(4), avgs.get(5)):

@@ -75,6 +75,31 @@ class TestEval:
                     "--R", "1", "--L", "1", "--m", "1")
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("locus", "--solid", "cube", "--polygon", "0", "--R", "1", "--m", "1", "--C", "3"),
+         "exactly one of --polygon/--solid"),
+        (("eval", "--polygon", "0", "--L", "1", "--m", "1"), "--polygon must be in 3..64"),
+    ])
+    def test_polygon_zero_is_given_not_absent(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figure", [("--polygon", "4", "--R", ""),
+                                        ("--solid", "cube", "--R", ""),
+                                        ("--solid", "cube", "--c", "")])
+    def test_empty_scale_is_given_not_absent(self, capsys, figure):
+        code, out, err = run_cli(capsys, "eval", *figure, "--L", "1", "--m", "1")
+        assert (code, out) == (2, "")
+        assert "cannot parse number ''" in err
+
+    def test_solid_help_names_every_kind(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(capsys, "eval", "--help")
+        out = capsys.readouterr().out
+        assert "tetrahedron|octahedron|cube|icosahedron|dodecahedron" in out
+
 
 class TestOracle:
     def test_polygon(self, capsys):
@@ -159,6 +184,13 @@ class TestFloatOverflow:
         assert code == 2
         assert out == ""
         assert "overflows" in err
+
+    def test_exact_backend_overflow_gives_no_exact_backend_advice(self, capsys):
+        code, out, err = run_cli(capsys, "locus", "--backend", "exact", "--polygon", "4",
+                                 "--R", "1", "--m", "2", "--C", "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert "the locus radius is a float on every backend" in err
+        assert "exact backend" not in err
 
     def test_locus_bisection_still_reads_overflow_as_infinite(self, capsys):
         code, out, _ = run_cli(capsys, "locus", "--polygon", "8", "--R", "1",

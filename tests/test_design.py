@@ -21,7 +21,6 @@ from cyclicavg.polygon import (
     power_sum_closed_sq,
 )
 from cyclicavg.solids import (
-    MAX_POWER_INDEX,
     per_vertex_solid_power_sum_sq,
     solid_locus_classify,
     solid_power_sum_closed_sq,
@@ -44,6 +43,12 @@ def test_sphere_coefficients_match_the_former_solid_formulas():
         assert design_coefficients(m, 3) == expected
 
 
+# the strengths the README states: 2 (tetrahedron), 3 (octahedron, cube),
+# 5 (icosahedron, dodecahedron)
+SOLID_STRENGTH = {SolidKind.TETRAHEDRON: 2, SolidKind.OCTAHEDRON: 3, SolidKind.CUBE: 3,
+                  SolidKind.ICOSAHEDRON: 5, SolidKind.DODECAHEDRON: 5}
+
+
 def _figure(figure, scale):
     """(spec, closed-form sum from squares, per-vertex average, own locus)."""
     if isinstance(figure, int):
@@ -61,7 +66,7 @@ def test_one_interface_serves_polygons_and_solids(figure, exact):
     scale, L = (Fraction(3, 2), Fraction(2, 3)) if exact else (1.5, 2 / 3)
     spec, closed_sq, per_vertex, own_locus = _figure(figure, scale)
     r_sq = spec.R_sq
-    assert spec.t == (figure - 1 if isinstance(figure, int) else MAX_POWER_INDEX[figure])
+    assert spec.t == (figure - 1 if isinstance(figure, int) else SOLID_STRENGTH[figure])
     for m in range(1, spec.t + 1):
         total = closed_sq(m, r_sq, L * L)
         assert power_sum_closed(spec, m, L) == total

@@ -7,7 +7,7 @@ import pytest
 
 from cyclicavg.geometry import SolidKind, SolidSpec, SpacePlacement
 from cyclicavg.polygon import power_sum_brute_exact, power_sum_closed_sq
-from cyclicavg.solids import MAX_POWER_INDEX, solid_power_sum_brute, solid_power_sum_closed_sq
+from cyclicavg.solids import solid_power_sum_brute, solid_power_sum_closed_sq
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -33,7 +33,7 @@ def test_polygon_closed_form_equals_exact_oracle(data, R, L):
 @hypothesis.given(st.sampled_from(list(SolidKind)), st.data(), positive,
                   coordinate, coordinate, coordinate)
 def test_solid_closed_form_equals_exact_oracle(kind, data, c, x, y, z):
-    m = data.draw(st.integers(1, MAX_POWER_INDEX[kind]))
+    m = data.draw(st.integers(1, kind.t))
     spec = SolidSpec(kind, c)
     p = SpacePlacement(x, y, z)
     assert solid_power_sum_brute(spec, m, p) \

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cyclicavg.errors import OutOfRangeError
-from cyclicavg.fields import Surd
+from cyclicavg.fields import GOLDEN_RATIO, Surd
 from cyclicavg.polygon import polygon_distances_sq_exact
 from cyclicavg.geometry import (
     PlanePlacement,
@@ -160,6 +160,26 @@ class TestSolidVertices:
             gaps = sorted(sum((x - y) ** 2 for x, y in zip(u, v))
                           for v in vs if v != u)
             assert gaps[:5] == [Surd(4)] * 5 or gaps[:5] == [4] * 5
+
+    @pytest.mark.parametrize("kind,n,r_sq_over_csq", [
+        (SolidKind.TETRAHEDRON, 4, 3),
+        (SolidKind.OCTAHEDRON, 6, 1),
+        (SolidKind.CUBE, 8, 3),
+        (SolidKind.ICOSAHEDRON, 12, 1 + GOLDEN_RATIO ** 2),
+        (SolidKind.DODECAHEDRON, 20, 3),
+    ])
+    def test_count_and_circumradius_read_off_the_table(self, kind, n, r_sq_over_csq):
+        assert kind.n == n
+        assert SolidSpec(kind, Fraction(1)).R_sq == r_sq_over_csq
+        assert SolidSpec(kind, Fraction(5, 4)).R_sq == r_sq_over_csq * Fraction(25, 16)
+
+    def test_cube_halves_are_regular_tetrahedra(self):
+        c = Fraction(5, 4)
+        vs = solid_vertices(SolidKind.CUBE, c)
+        for half in (vs[0::2], vs[1::2]):
+            gaps = [sum((x - y) ** 2 for x, y in zip(u, v))
+                    for u, v in itertools.combinations(half, 2)]
+            assert gaps == [8 * c * c] * 6
 
     def test_dodecahedron_contains_cube(self):
         cube = solid_vertices(SolidKind.CUBE, Fraction(1))

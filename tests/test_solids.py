@@ -12,7 +12,6 @@ from cyclicavg.errors import (
 from cyclicavg.fields import GOLDEN_RATIO, Surd
 from cyclicavg.geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from cyclicavg.solids import (
-    MAX_POWER_INDEX,
     antipodal_pair_sums,
     circumsphere_residual,
     cube_quadruple_residuals,
@@ -46,7 +45,7 @@ class TestClosedForms:
         assert solid_power_sum_closed(octa, 2, 1.0) == pytest.approx(32.0)
         for kind in ALL_KINDS:
             spec = SolidSpec(kind, 1.0)
-            for m in range(1, MAX_POWER_INDEX[kind] + 1):
+            for m in range(1, kind.t + 1):
                 centroid = solid_power_sum_closed(spec, m, 0.0)
                 assert centroid == pytest.approx(kind.n * float(spec.R_sq) ** m)
 
@@ -62,7 +61,7 @@ class TestClosedForms:
     def test_matches_brute_force(self, kind):
         rng = random.Random(500 + kind.n)
         spec = SolidSpec(kind, rng.uniform(0.5, 2.0))
-        for m in range(1, MAX_POWER_INDEX[kind] + 1):
+        for m in range(1, kind.t + 1):
             for _ in range(100):
                 p = _random_point(rng, 3.0 * spec.R)
                 closed = solid_power_sum_closed_sq(kind, m, float(spec.R_sq),
@@ -74,7 +73,7 @@ class TestClosedForms:
     def test_exact_backends_agree(self, kind):
         spec = SolidSpec(kind, Fraction(4, 3))
         p = SpacePlacement(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7))
-        for m in range(1, MAX_POWER_INDEX[kind] + 1):
+        for m in range(1, kind.t + 1):
             closed = solid_power_sum_closed_sq(kind, m, spec.R_sq, p.L_sq)
             brute = solid_power_sum_brute(spec, m, p)
             assert closed == brute
@@ -102,7 +101,7 @@ class TestClosedForms:
     def test_direction_witness_at_first_invalid_power(self, kind):
         rng = random.Random(900 + kind.n)
         spec = SolidSpec(kind, 1.0)
-        m = MAX_POWER_INDEX[kind] + 1
+        m = kind.t + 1
         L = spec.R
         values = []
         for _ in range(60):
@@ -144,7 +143,7 @@ class TestLocus:
         rng = random.Random(55)
         for kind in ALL_KINDS:
             spec = SolidSpec(kind, 1.0)
-            for m in range(1, MAX_POWER_INDEX[kind] + 1):
+            for m in range(1, kind.t + 1):
                 L = rng.uniform(0.05, 4.0)
                 C = solid_power_sum_closed(spec, m, L)
                 locus = solid_locus_classify(spec, m, C)
@@ -154,7 +153,7 @@ class TestLocus:
     def test_backward_error(self):
         rng = random.Random(23)
         for kind in ALL_KINDS:
-            for m in range(1, MAX_POWER_INDEX[kind] + 1):
+            for m in range(1, kind.t + 1):
                 for _ in range(50):
                     spec = SolidSpec(kind, rng.uniform(1e-4, 10.0))
                     L = rng.uniform(1e-4, 10.0)
@@ -181,7 +180,7 @@ class TestRelations:
             r_sq = spec.R_sq
             l_sq = Fraction(7, 5)
             avgs = {m: per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
-                    for m in range(1, MAX_POWER_INDEX[kind] + 1)}
+                    for m in range(1, kind.t + 1)}
             rows = solid_relation_residuals(kind, r_sq, avgs.get(1), avgs.get(2),
                                             avgs.get(3), avgs.get(4), avgs.get(5))
             expected_rows = {SolidKind.TETRAHEDRON: 1,
