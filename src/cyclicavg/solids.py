@@ -9,21 +9,31 @@ A = R^2 + L^2:
     E_3[cos^2k] = 1/(2k+1).
 
 Beyond t the sums depend on the direction of the placement, not only on L.
+
+The exact oracle reads the vertex tables directly: it works in Z[sqrt 5]
+over one integer denominator and divides once at the end, so it shares no
+arithmetic with the closed forms it checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoAntipodesError, OutOfRangeError
-from .fields import Scalar
-from .geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
+from .fields import GOLDEN_RATIO, Scalar, Surd, power
+from .geometry import _VERTICES, SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from .polygon import (Locus, _check_power, _classify, _design_sum, _finite, _power_sum,
                       _recover, _sphere_residual, cyclic_average, power_sum_closed)
 
 _MAX_SOLID_POWER = max(kind.t for kind in SolidKind)
 _SOLID_VERTEX_COUNTS = frozenset(kind.n for kind in SolidKind)
+# Twice the table scalars 0, 1, phi, 1/phi as integer pairs (u, w) = u + w sqrt 5,
+# then their negatives in reverse, so that signed table index -k reads -2 s_k.
+_UNITS = [(int(2 * s.a), int(2 * s.b))
+          for s in (Surd(0), Surd(1), GOLDEN_RATIO, 1 / GOLDEN_RATIO)]
+_UNITS += [(-u, -w) for u, w in reversed(_UNITS[1:])]
 
 
 def per_vertex_solid_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
@@ -36,7 +46,7 @@ def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
                               l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all vertices, from squared inputs."""
     _check_power(m, kind.t, kind.value)
-    return _finite(kind.n * per_vertex_solid_power_sum_sq(m, r_sq, l_sq))
+    return _finite(kind.n * _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq))
 
 
 solid_power_sum_closed = power_sum_closed
@@ -47,9 +57,44 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
     """Oracle: sum d_i^(2m) from the vertex coordinates. Any m >= 1.
 
     Exact for exact spec and placement (Q(sqrt 5) for the golden-ratio
-    solids); float otherwise.
+    solids); float otherwise.  With D the common denominator of c and the
+    placement, 2D times each vertex coordinate c (u + w sqrt 5)/2 and each
+    placement coordinate is an integer pair in Z[sqrt 5]; every (2D)^2 d^2
+    is raised to the m-th power as a pair, and the sum is divided once by
+    (2D)^(2m).
     """
-    return _power_sum(solid_distances_sq(spec, p), m)
+    values = (spec.c, p.x, p.y, p.z)
+    if m < 1 or any(isinstance(v, float) for v in values):
+        return _power_sum(solid_distances_sq(spec, p), m)
+    pairs = [(v.a, v.b) if isinstance(v, Surd) else (v, 0) for v in values]
+    D = math.lcm(*[f.denominator for pair in pairs for f in pair])
+    (cu, cw), *place = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+                        for a, b in pairs]
+    place = [(2 * a, 2 * b) for a, b in place]
+    coords = [(cu * u + 5 * cw * w, cu * w + cw * u) for u, w in _UNITS]  # 2D c s_k
+    depth, getters = _VERTICES[spec.kind]
+    total_a = total_b = 0
+    for get in getters:
+        sa = sb = 0
+        for (xa, xb), (va, vb) in zip(place, get(coords)):
+            da, db = xa - va, xb - vb
+            sa += da * da + 5 * db * db
+            sb += 2 * da * db
+        a, b = power((sa, sb), m, _mul_root5, (1, 0))
+        total_a += a
+        total_b += b
+    scale = (2 * D) ** (2 * m)
+    if depth > 1 or any(isinstance(v, Surd) for v in values):  # phi in the table
+        return Surd(Fraction(total_a, scale), Fraction(total_b, scale))
+    if any(isinstance(v, Fraction) for v in values):
+        return Fraction(total_a, scale)
+    return total_a // scale
+
+
+def _mul_root5(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b sqrt 5)(c + d sqrt 5) on integer pairs."""
+    (a, b), (c, d) = x, y
+    return a * c + 5 * b * d, a * d + b * c
 
 
 def solid_locus_classify(spec: SolidSpec, m: int, C: Scalar) -> Locus:

@@ -135,6 +135,17 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "216"
 
+    @pytest.mark.parametrize("solid, m, expected", [
+        ("icosahedron", "6", "259055061916897708947181/44286750000000000"
+                             " + 14020669678819688353/5467500000000*√5"),
+        ("cube", "4", "177663208160281/5125781250"),
+    ])
+    def test_solid_exact_text(self, capsys, solid, m, expected):
+        code, out, _ = run_cli(capsys, "oracle", "--backend", "exact", "--solid", solid,
+                               "--c", "3/2", "--x", "1/3", "--y=-2/5", "--z", "1/2",
+                               "--m", m)
+        assert (code, out) == (0, expected + "\n")
+
 
 class TestLocus:
     def test_circle(self, capsys):

@@ -10,7 +10,14 @@ from cyclicavg.errors import (
     OutOfRangeError,
 )
 from cyclicavg.fields import GOLDEN_RATIO, Surd
-from cyclicavg.geometry import SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
+from cyclicavg.geometry import (
+    SolidKind,
+    SolidSpec,
+    SpacePlacement,
+    solid_distances_sq,
+    solid_vertices,
+)
+from cyclicavg.polygon import _power_sum
 from cyclicavg.solids import (
     antipodal_pair_sums,
     circumsphere_residual,
@@ -26,6 +33,15 @@ from cyclicavg.solids import (
 )
 
 ALL_KINDS = list(SolidKind)
+# exact scales and placements of every type, for the exact oracle kernel
+EXACT_SCALES = (2, Fraction(3, 2), Surd(Fraction(1, 2), Fraction(1, 3)))
+EXACT_PLACEMENTS = (
+    (0, 0, 0),
+    (1, -2, 3),
+    (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)),
+    (Surd(1, 1), Surd(Fraction(-1, 2), 2), Surd(0, Fraction(1, 3))),
+    (Fraction(5, 4), -1, Surd(Fraction(1, 2), Fraction(1, 2))),
+)
 
 
 def _random_point(rng, radius):
@@ -124,6 +140,38 @@ class TestBruteForce:
         phi_sq = GOLDEN_RATIO * GOLDEN_RATIO
         assert value == 12 * (2 + phi_sq)
         assert value == Surd(42, 6)
+
+    @pytest.mark.parametrize("c", EXACT_SCALES, ids=repr)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_exact_kernel_matches_generic_sum(self, kind, c):
+        spec = SolidSpec(kind, c)
+        on_vertex = SpacePlacement(*solid_vertices(kind, c)[1])
+        assert 0 in solid_distances_sq(spec, on_vertex)
+        for p in [SpacePlacement(*xyz) for xyz in EXACT_PLACEMENTS] + [on_vertex]:
+            for m in range(1, kind.t + 3):
+                kernel = solid_power_sum_brute(spec, m, p)
+                generic = _power_sum(solid_distances_sq(spec, p), m)
+                assert kernel == generic
+                assert type(kernel) is type(generic)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nonpositive_power_is_refused(self, kind):
+        for c, p in ((Fraction(3, 2), SpacePlacement(1, 0, Surd(0, 1))),
+                     (1.5, SpacePlacement(1.0, 0.0, 0.0))):
+            for m in (0, -1):
+                with pytest.raises(OutOfRangeError, match=r"^power index m must be >= 1$"):
+                    solid_power_sum_brute(SolidSpec(kind, c), m, p)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_float_input_takes_the_fsum_path(self, kind):
+        values = [Fraction(3, 2), Fraction(1, 3), Surd(Fraction(-1, 2), 1), 2]
+        slot = ALL_KINDS.index(kind) % len(values)
+        values[slot] = float(values[slot])
+        spec, p = SolidSpec(kind, values[0]), SpacePlacement(*values[1:])
+        m = kind.t + 1
+        value = solid_power_sum_brute(spec, m, p)
+        assert type(value) is float
+        assert value == math.fsum(float(d) ** m for d in solid_distances_sq(spec, p))
 
 
 class TestLocus:
