@@ -26,11 +26,9 @@ from .geometry import (
     SolidSpec,
     SpacePlacement,
     heron_area_16sq,
-    polygon_distance_sq,
     polygon_distances_sq,
     polygon_side_sq,
     polygon_vertex,
-    solid_distance_sq,
     solid_distances_sq,
     solid_vertices,
     sum_basis,
@@ -85,7 +83,6 @@ from .solids import (
     circumsphere_residual,
     cube_quadruple_residuals,
     recover_r2_l2_solid,
-    solid_cyclic_average,
     solid_locus_classify,
     solid_power_sum_brute,
     solid_power_sum_closed,

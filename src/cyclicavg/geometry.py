@@ -174,12 +174,6 @@ def polygon_vertex(spec: PolygonSpec, i: int) -> tuple[float, float]:
     return (R * math.cos(theta), R * math.sin(theta))
 
 
-def polygon_distance_sq(spec: PolygonSpec, p: PlanePlacement, i: int) -> float:
-    """Squared distance from the placement to vertex i (1-based)."""
-    _check_vertex(i, spec.n)
-    return polygon_distances_sq(spec, p)[i - 1]
-
-
 def sum_basis(R: Scalar, L: Scalar) -> tuple[Scalar, Scalar]:
     """The pair A = R^2 + L^2, B = 2RL every distance formula runs on.
 
@@ -253,12 +247,6 @@ def solid_vertices(kind: SolidKind, c: Scalar = 1) -> tuple[Triple, ...]:
 # c = 1; the icosahedron's 1 + phi^2 lies in Q(sqrt 5).
 _SIZE = {kind: (len(vs), sum(x * x for x in vs[0]))
          for kind in SolidKind for vs in (solid_vertices(kind),)}
-
-
-def solid_distance_sq(spec: SolidSpec, p: SpacePlacement, i: int) -> Scalar:
-    """Squared Euclidean distance from the placement to vertex i (1-based)."""
-    _check_vertex(i, spec.n)
-    return solid_distances_sq(spec, p)[i - 1]
 
 
 def solid_distances_sq(spec: SolidSpec, p: SpacePlacement) -> tuple[Scalar, ...]:

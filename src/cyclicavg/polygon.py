@@ -76,15 +76,10 @@ def _check_power(m: int, top: int, figure: str) -> None:
         )
 
 
-def per_vertex_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
-    """The cyclic average S^(2m) as a function of R^2 and L^2 (any backend)."""
-    return _design_sum(m, 2, r_sq + l_sq, r_sq * l_sq)
-
-
 def power_sum_closed_sq(n: int, m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all n vertices, from squared inputs."""
     _check_power(m, n - 1, f"{n}-gon")
-    return _finite(n * per_vertex_power_sum_sq(m, r_sq, l_sq))
+    return _finite(n * _design_sum(m, 2, r_sq + l_sq, r_sq * l_sq))
 
 
 def _average(spec: Figure, m: int, L: Scalar) -> Scalar:
@@ -115,7 +110,11 @@ def cyclic_average(spec: Figure, m: int, L: Scalar) -> CyclicAverage:
 
 
 def _power_sum(d_sq: Sequence[Scalar], m: int) -> Scalar:
-    """sum d^m over squared distances: fsum if any is a float, else exact."""
+    """sum d^m over squared distances: fsum if any is a float, else exact.
+
+    The exact branch is the plain reference sum the Z[sqrt 5] kernel of
+    solids.solid_power_sum_brute is tested against.
+    """
     if m < 1:
         raise OutOfRangeError("power index m must be >= 1")
     if any(isinstance(d, float) for d in d_sq):
@@ -327,15 +326,17 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     """{R^2, L^2} from S2 = R^2 + L^2 and S4 = S2^2 + (4/dim) R^2 L^2.
 
     The discriminant (dim+1) S2^2 - dim S4 equals (R^2 - L^2)^2 for
-    consistent data.
+    consistent data; a float one down to -1e-12 S2^2 reads as 0.
     """
     if not s2 > 0:
         raise InvalidAverageError("S2 must be positive")
     _s4_gap(s2, s4)  # (4/dim) R^2 L^2, refused when negative
     disc = (dim + 1) * s2 * s2 - dim * s4
     if disc < 0:
-        raise NegativeDiscriminantError(
-            f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
+        if is_exact(disc) or disc < -1e-12 * s2 * s2:
+            raise NegativeDiscriminantError(
+                f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
+        disc = 0.0  # float rounding at R = L, as in _s4_gap
     root = sqrt_scalar(_finite(disc))
     low = _HALF * (s2 - root)  # a float may round below 0 at the centre
     return (_HALF * (s2 + root), max(low, 0.0) if isinstance(low, float) else low)
@@ -356,7 +357,8 @@ def s2m_from_s2(m: int, s2: Scalar, r_sq: Scalar) -> Scalar:
         raise OutOfRangeError("conversion defined for m >= 2")
     if s2 < r_sq:
         raise InvalidAverageError("S2 < R^2 would force L^2 < 0")
-    return _finite(per_vertex_power_sum_sq(m, r_sq, s2 - r_sq))
+    l_sq = s2 - r_sq
+    return _finite(_design_sum(m, 2, r_sq + l_sq, r_sq * l_sq))
 
 
 def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:

@@ -19,29 +19,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateQuarticError, NegativeDiscriminantError, NonRationalInputError
+from .errors import DegenerateQuarticError, NonRationalInputError
 from .fields import Scalar, exact_sqrt
 from .geometry import PlanePlacement, PolygonSpec, heron_area_16sq, polygon_distances_sq
 from .intpoly import DegreeCertificate, IntegerPolynomial, certify_no_small_factor, \
     poly_mul, poly_sub, rational_roots
+from .polygon import recover_r2_l2
 from .relations import BranchPair
 
 
 def side_from_averages(n: int, s2: float, s4: float) -> BranchPair:
-    """Both branches of the squared side a^2 = 2 sin^2(pi/n) (S2 +- sqrt(disc)).
+    """Both branches of the squared side a^2 = 4 sin^2(pi/n) {R^2, L^2}, in float.
 
-    One branch reproduces (2 R sin(pi/n))^2 for genuine data; the other swaps
-    the roles of R and L.
+    The pair is recover_r2_l2's.  One branch reproduces (2 R sin(pi/n))^2 for
+    genuine data; the other swaps the roles of R and L.
     """
-    disc = 3.0 * s2 * s2 - 2.0 * s4
-    if disc < 0:
-        if disc > -1e-12 * s2 * s2:
-            disc = 0.0
-        else:
-            raise NegativeDiscriminantError(f"3*S2^2 - 2*S4 = {disc} < 0")
-    root = math.sqrt(disc)
-    factor = 2.0 * math.sin(math.pi / n) ** 2
-    return BranchPair(factor * (s2 + root), factor * (s2 - root))
+    hi, lo = recover_r2_l2(float(s2), float(s4))
+    factor = 4.0 * math.sin(math.pi / n) ** 2
+    return BranchPair(factor * hi, factor * lo)
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,14 @@ from .errors import NoAntipodesError, OutOfRangeError
 from .fields import GOLDEN_RATIO, Scalar, Surd, power
 from .geometry import _VERTICES, SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from .polygon import (Locus, _check_power, _classify, _design_sum, _finite, _power_sum,
-                      _recover, _sphere_residual, cyclic_average, power_sum_closed)
+                      _recover, _sphere_residual, power_sum_closed)
 
-_MAX_SOLID_POWER = max(kind.t for kind in SolidKind)
 _SOLID_VERTEX_COUNTS = frozenset(kind.n for kind in SolidKind)
 # Twice the table scalars 0, 1, phi, 1/phi as integer pairs (u, w) = u + w sqrt 5,
 # then their negatives in reverse, so that signed table index -k reads -2 s_k.
 _UNITS = [(int(2 * s.a), int(2 * s.b))
           for s in (Surd(0), Surd(1), GOLDEN_RATIO, 1 / GOLDEN_RATIO)]
 _UNITS += [(-u, -w) for u, w in reversed(_UNITS[1:])]
-
-
-def per_vertex_solid_power_sum_sq(m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
-    """The solid cyclic average S^(2m) in terms of R^2 and L^2 (any backend)."""
-    _check_power(m, _MAX_SOLID_POWER, "Platonic solids")
-    return _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
 
 
 def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
@@ -50,7 +43,6 @@ def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
 
 
 solid_power_sum_closed = power_sum_closed
-solid_cyclic_average = cyclic_average
 
 
 def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
@@ -162,7 +154,7 @@ def cube_quadruple_residuals(d_sq: Sequence[Scalar], r_sq: Scalar,
         raise OutOfRangeError("need the cube's 8 squared distances")
     out: list[Scalar] = []
     for m in (1, 2):
-        closed = 4 * per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
+        closed = solid_power_sum_closed_sq(SolidKind.TETRAHEDRON, m, r_sq, l_sq)
         for quad in (d_sq[0::2], d_sq[1::2]):
             out.append(sum(d ** m for d in quad) - closed)
     return out

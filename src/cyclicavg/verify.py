@@ -30,9 +30,9 @@ from .geometry import (
     solid_vertices,
 )
 from .polygon import (
+    _design_sum,
     _power_sums_exact,
     circumcircle_residual,
-    per_vertex_power_sum_sq,
     power_sum_brute,
     power_sum_closed_sq,
     recover_r2_l2,
@@ -50,7 +50,6 @@ from .solids import (
     antipodal_pair_sums,
     circumsphere_residual,
     cube_quadruple_residuals,
-    per_vertex_solid_power_sum_sq,
     recover_r2_l2_solid,
     solid_power_sum_brute,
     solid_power_sum_closed_sq,
@@ -188,16 +187,20 @@ def sweep_exact_interpolation(seed: int) -> SweepRow:
 
 
 def sweep_cross_n_equality(seed: int) -> SweepRow:
+    # the exact oracle's average of d^(2m) at a random turn of cycle 2n is the
+    # same on every n-gon with n > m: each one is compared with the (m+1)-gon's
     rng = _rng(seed, "cross-n")
 
     def equalities():
         for _ in range(40):
-            r_sq = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-            l_sq = Fraction(rng.randint(0, 50), rng.randint(1, 50))
+            R = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+            L = Fraction(rng.randint(0, 50), rng.randint(1, 50))
+            averages = {n: [s / n for s in _power_sums_exact(
+                            n, range(1, min(n, 12)), R, L, 2 * n, rng.randrange(2 * n))]
+                        for n in range(2, 15)}
             for m in range(1, 12):
-                reference = per_vertex_power_sum_sq(m, r_sq, l_sq)
-                for n in range(m + 1, 14):
-                    yield power_sum_closed_sq(n, m, r_sq, l_sq) == n * reference
+                for n in range(m + 2, 15):
+                    yield averages[n][m - 1] == averages[m + 1][m - 1]
 
     return _exact("cross-n equality of cyclic averages", equalities())
 
@@ -259,13 +262,13 @@ _IDENTITIES = (
      lambda R, L, d: _spread(opposite_pair_sums(d)) / (2 * (R * R + L * L))),
     ("embedded triangle subsets (divisor 3)", 9,
      lambda R, L, d: _nan_or(max, map(abs, subset_sum_residuals(d, 3, R * R, L * L)))
-     / (3 * per_vertex_power_sum_sq(2, R * R, L * L))),
+     / power_sum_closed_sq(3, 2, R * R, L * L)),
     ("embedded square subsets (divisor 4)", 8,
      lambda R, L, d: _nan_or(max, map(abs, subset_sum_residuals(d, 4, R * R, L * L)))
-     / (4 * per_vertex_power_sum_sq(3, R * R, L * L))),
+     / power_sum_closed_sq(4, 3, R * R, L * L)),
     ("embedded pentagon subsets (divisor 5)", 10,
      lambda R, L, d: _nan_or(max, map(abs, subset_sum_residuals(d, 5, R * R, L * L)))
-     / (5 * per_vertex_power_sum_sq(4, R * R, L * L))),
+     / power_sum_closed_sq(5, 4, R * R, L * L)),
     ("square sixth-power factorization", 4,
      lambda R, L, d: abs(square_sixth_factorization_residual(d)) / (sum(d) ** 3 + 1.0)),
 )
@@ -381,7 +384,7 @@ def sweep_solid_relations(seed: int) -> list[SweepRow]:
             direction = _random_direction(rng)
             p = _at(rng.uniform(0.0, 3.0 * spec.R), direction)
             l_sq = float(p.L_sq)
-            averages = {m: per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
+            averages = {m: _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
                         for m in range(1, kind.t + 1)}
             relations += (rel_err(float(lhs), float(rhs)) for _, lhs, rhs in
                           solid_relation_residuals(kind, r_sq,
@@ -405,7 +408,8 @@ def sweep_solid_relations(seed: int) -> list[SweepRow]:
         p = SpacePlacement(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
         residuals = cube_quadruple_residuals(solid_distances_sq(cube, p), 3.0, float(p.L_sq))
         quadruples.append(_nan_or(max, map(abs, residuals))
-                          / (4 * per_vertex_solid_power_sum_sq(2, 3.0, float(p.L_sq))))
+                          / solid_power_sum_closed_sq(SolidKind.TETRAHEDRON, 2, 3.0,
+                                                      float(p.L_sq)))
     # cross-solid equality of cyclic averages (shared R, L, shared m)
     cross = []
     for _ in range(50):

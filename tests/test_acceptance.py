@@ -26,6 +26,7 @@ from cyclicavg.geometry import (
 )
 from cyclicavg.intpoly import certify_no_small_factor, rational_roots
 from cyclicavg.polygon import (
+    _design_sum,
     circumcircle_residual,
     power_sum_brute,
     power_sum_brute_exact,
@@ -47,7 +48,6 @@ from cyclicavg.solids import (
     antipodal_pair_sums,
     circumsphere_residual,
     cube_quadruple_residuals,
-    per_vertex_solid_power_sum_sq,
     recover_r2_l2_solid,
     solid_power_sum_brute,
     solid_power_sum_closed_sq,
@@ -279,7 +279,7 @@ def test_criterion_07_solid_relation_suite():
             r = rng.uniform(0.0, 3.0) * spec.R
             p = SpacePlacement(x / norm * r, y / norm * r, z / norm * r)
             l_sq = float(p.L_sq)
-            avgs = {m: per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
+            avgs = {m: _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
                     for m in range(1, kind.t + 1)}
             for _, lhs, rhs in solid_relation_residuals(
                     kind, r_sq, avgs.get(1), avgs.get(2), avgs.get(3),
@@ -290,7 +290,7 @@ def test_criterion_07_solid_relation_suite():
                                    max(rel_err(hi, l_sq), rel_err(lo, r_sq))))
             d_sq = solid_distances_sq(spec, p)
             if kind is SolidKind.CUBE:
-                scale = 4 * per_vertex_solid_power_sum_sq(2, r_sq, l_sq)
+                scale = solid_power_sum_closed_sq(SolidKind.TETRAHEDRON, 2, r_sq, l_sq)
                 worst = max(worst, max(abs(v) for v in cube_quadruple_residuals(
                     d_sq, r_sq, l_sq)) / scale)
             if kind is not SolidKind.TETRAHEDRON:

@@ -13,18 +13,14 @@ from cyclicavg.errors import OutOfRangeError
 from cyclicavg.geometry import PolygonSpec, SolidKind, SolidSpec
 from cyclicavg.polygon import (
     Locus,
+    _design_sum,
     cyclic_average,
     design_coefficients,
     locus_classify,
-    per_vertex_power_sum_sq,
     power_sum_closed,
     power_sum_closed_sq,
 )
-from cyclicavg.solids import (
-    per_vertex_solid_power_sum_sq,
-    solid_locus_classify,
-    solid_power_sum_closed_sq,
-)
+from cyclicavg.solids import solid_locus_classify, solid_power_sum_closed_sq
 
 
 @pytest.mark.parametrize("m", range(1, 30))
@@ -50,27 +46,28 @@ SOLID_STRENGTH = {SolidKind.TETRAHEDRON: 2, SolidKind.OCTAHEDRON: 3, SolidKind.C
 
 
 def _figure(figure, scale):
-    """(spec, closed-form sum from squares, per-vertex average, own locus)."""
+    """(spec, closed-form sum from squares, own locus)."""
     if isinstance(figure, int):
         return (PolygonSpec(figure, scale),
                 lambda m, r_sq, l_sq: power_sum_closed_sq(figure, m, r_sq, l_sq),
-                per_vertex_power_sum_sq, locus_classify)
+                locus_classify)
     return (SolidSpec(figure, scale),
             lambda m, r_sq, l_sq: solid_power_sum_closed_sq(figure, m, r_sq, l_sq),
-            per_vertex_solid_power_sum_sq, solid_locus_classify)
+            solid_locus_classify)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("figure", [*range(3, 9), *SolidKind], ids=str)
 def test_one_interface_serves_polygons_and_solids(figure, exact):
     scale, L = (Fraction(3, 2), Fraction(2, 3)) if exact else (1.5, 2 / 3)
-    spec, closed_sq, per_vertex, own_locus = _figure(figure, scale)
+    spec, closed_sq, own_locus = _figure(figure, scale)
     r_sq = spec.R_sq
     assert spec.t == (figure - 1 if isinstance(figure, int) else SOLID_STRENGTH[figure])
     for m in range(1, spec.t + 1):
         total = closed_sq(m, r_sq, L * L)
         assert power_sum_closed(spec, m, L) == total
-        assert cyclic_average(spec, m, L).value == per_vertex(m, r_sq, L * L)
+        assert cyclic_average(spec, m, L).value \
+            == _design_sum(m, spec.dim, r_sq + L * L, r_sq * (L * L))
         centre = spec.n * r_sq ** m
         assert locus_classify(spec, m, centre) == Locus("centroid")
         locus = locus_classify(spec, m, total)

@@ -15,10 +15,10 @@ from cyclicavg.geometry import (
     SolidSpec,
     SpacePlacement,
     heron_area_16sq,
-    polygon_distance_sq,
+    polygon_distances_sq,
     polygon_side_sq,
     polygon_vertex,
-    solid_distance_sq,
+    solid_distances_sq,
     solid_vertices,
     sum_basis,
 )
@@ -38,13 +38,15 @@ def test_polygon_spec_validation():
 def test_polygon_distance_collinear_cases():
     spec = PolygonSpec(4, 1.0)
     p = PlanePlacement(2.0, 0.0)
-    assert polygon_distance_sq(spec, p, 1) == pytest.approx(1.0)   # (2-1)^2
-    assert polygon_distance_sq(spec, p, 3) == pytest.approx(9.0)   # (2+1)^2
-    assert polygon_distance_sq(spec, p, 2) == pytest.approx(5.0)   # to (0,1)
+    d_sq = polygon_distances_sq(spec, p)
+    assert d_sq[0] == pytest.approx(1.0)   # (2-1)^2
+    assert d_sq[2] == pytest.approx(9.0)   # (2+1)^2
+    assert d_sq[1] == pytest.approx(5.0)   # to (0,1)
+    assert len(d_sq) == 4
     with pytest.raises(OutOfRangeError):
-        polygon_distance_sq(spec, p, 5)
+        polygon_vertex(spec, 5)
     with pytest.raises(OutOfRangeError):
-        polygon_distance_sq(spec, p, 0)
+        polygon_vertex(spec, 0)
 
 
 def test_polygon_distance_matches_cartesian():
@@ -57,7 +59,7 @@ def test_polygon_distance_matches_cartesian():
         vx, vy = polygon_vertex(spec, i)
         px, py = p.L * math.cos(p.alpha), p.L * math.sin(p.alpha)
         direct = (px - vx) ** 2 + (py - vy) ** 2
-        value = polygon_distance_sq(spec, p, i)
+        value = polygon_distances_sq(spec, p)[i - 1]
         assert abs(value - direct) <= 1e-12 * max(direct, 1e-12)
 
 
@@ -97,8 +99,8 @@ def test_every_distance_at_least_gap_squared():
         L = rng.uniform(0.0, 5.0)
         spec = PolygonSpec(n, R)
         p = PlanePlacement(L, rng.uniform(0, 2 * math.pi))
-        for i in range(1, n + 1):
-            assert polygon_distance_sq(spec, p, i) >= (R - L) ** 2 - 1e-9
+        for d_sq in polygon_distances_sq(spec, p):
+            assert d_sq >= (R - L) ** 2 - 1e-9
 
 
 def test_polygon_side_sq():
@@ -189,15 +191,12 @@ class TestSolidVertices:
 
 def test_solid_distance_examples():
     octa = SolidSpec(SolidKind.OCTAHEDRON, 1.0)
-    assert solid_distance_sq(octa, SpacePlacement(0.0, 0.0, 1.0), 5) == pytest.approx(0.0)
+    assert solid_distances_sq(octa, SpacePlacement(0.0, 0.0, 1.0))[4] == pytest.approx(0.0)
     tetra = SolidSpec(SolidKind.TETRAHEDRON, 1.0)
-    assert solid_distance_sq(tetra, SpacePlacement(1.0, 0.0, 0.0), 1) == pytest.approx(2.0)
+    assert solid_distances_sq(tetra, SpacePlacement(1.0, 0.0, 0.0))[0] == pytest.approx(2.0)
     cube = SolidSpec(SolidKind.CUBE, 1.0)
-    centre = SpacePlacement(0.0, 0.0, 0.0)
-    for i in range(1, 9):
-        assert solid_distance_sq(cube, centre, i) == pytest.approx(3.0)
-    with pytest.raises(OutOfRangeError):
-        solid_distance_sq(cube, centre, 9)
+    d_sq = solid_distances_sq(cube, SpacePlacement(0.0, 0.0, 0.0))
+    assert list(d_sq) == pytest.approx([3.0] * 8)
 
 
 def test_space_placement_length_identity_exact():

@@ -11,15 +11,23 @@ from cyclicavg.errors import (
     OutOfRangeError,
 )
 from cyclicavg.fields import Surd
-from cyclicavg.geometry import PlanePlacement, PolygonSpec, polygon_distances_sq
+from cyclicavg.geometry import (
+    PlanePlacement,
+    PolygonSpec,
+    SolidKind,
+    SolidSpec,
+    SpacePlacement,
+    polygon_distances_sq,
+    solid_distances_sq,
+)
 from cyclicavg.polygon import (
     _design_sum,
+    _power_sums_exact,
     _u_coefficients,
     Locus,
     circumcircle_residual,
     cyclic_average,
     locus_classify,
-    per_vertex_power_sum_sq,
     polygon_distances_sq_exact,
     power_sum_brute,
     power_sum_brute_exact,
@@ -68,11 +76,13 @@ class TestClosedForm:
             assert abs(closed - brute) / brute < 1e-9
 
     def test_cross_n_equality_exact(self):
-        r_sq, l_sq = Fraction(7, 3), Fraction(2, 5)
+        # the exact oracle's averages at alpha = (n // 2) pi/n agree for every n > m
+        R, L = Fraction(7, 3), Fraction(2, 5)
+        averages = {n: [s / n for s in _power_sums_exact(n, range(1, min(n, 8)), R, L,
+                                                          2 * n, n // 2)]
+                    for n in range(2, 16)}
         for m in range(1, 8):
-            values = {power_sum_closed_sq(n, m, r_sq, l_sq) * Fraction(1, n)
-                      for n in range(m + 1, 16)}
-            assert len(values) == 1
+            assert {averages[n][m - 1] for n in range(m + 1, 16)} == {averages[m + 1][m - 1]}
 
 
 class TestBruteForce:
@@ -124,7 +134,7 @@ class TestBruteForce:
         # Fourier term the n-gon does not average away
         R, L = Fraction(3, 2), Fraction(4, 5)
         excess = power_sum_brute_exact(n, n, R, L) \
-            - n * per_vertex_power_sum_sq(n, R * R, L * L)
+            - n * _design_sum(n, 2, R * R + L * L, R * R * (L * L))
         assert excess == (-1) ** n * 2 * n * (R * L) ** n
 
     def test_irrational_sum_is_refused(self):
@@ -278,6 +288,38 @@ class TestAverageConversions:
         # not slip past the guards as R^2 = inf or nan
         with pytest.raises(OutOfRangeError, match="overflows"):
             recover(s2, s4)
+
+    def test_recover_accepts_float_data_at_r_equal_l(self):
+        # at L = R the discriminant (R^2 - L^2)^2 is 0, and rounding can put it
+        # just below; that is genuine data, and the pair must give S2, S4 back
+        rng = random.Random(29)
+        draws = []
+        for _ in range(2000):
+            n, R = rng.randint(3, 64), rng.uniform(0.2, 3.0)
+            d_sq = polygon_distances_sq(PolygonSpec(n, R), PlanePlacement(R, rng.uniform(0, 6.3)))
+            draws.append((recover_r2_l2, 2.0, d_sq))
+        for _ in range(400):
+            for kind in SolidKind:
+                spec = SolidSpec(kind, rng.uniform(0.5, 2.0))
+                u = [rng.gauss(0, 1) for _ in range(3)]
+                scale = spec.R / math.sqrt(math.fsum(x * x for x in u))
+                d_sq = solid_distances_sq(spec, SpacePlacement(*(scale * x for x in u)))
+                draws.append((recover_r2_l2_solid, 4.0 / 3.0, d_sq))
+        for recover, ratio, d_sq in draws:
+            s2 = math.fsum(d_sq) / len(d_sq)
+            s4 = math.fsum(d * d for d in d_sq) / len(d_sq)
+            hi, lo = recover(s2, s4)
+            assert hi + lo == pytest.approx(s2, rel=1e-9)
+            assert (hi + lo) ** 2 + ratio * hi * lo == pytest.approx(s4, rel=1e-9)
+
+    def test_recover_gives_exact_discriminants_no_allowance(self):
+        # an exact 3 S2^2 - 2 S4 of -2e-30 is refused, and so is a float one of
+        # -2e-11; a float one of -4.4e-16 is rounding at R = L
+        with pytest.raises(NegativeDiscriminantError):
+            recover_r2_l2(Fraction(1), Fraction(3, 2) + Fraction(1, 10 ** 30))
+        with pytest.raises(NegativeDiscriminantError):
+            recover_r2_l2(1.0, 1.5 + 1e-11)
+        assert recover_r2_l2(1.0, 1.5 + 2e-16) == (0.5, 0.5)
 
     def test_recover_accepts_float_centroid_data(self):
         # at L = 0 rounding can put S4 just below S2^2; that is genuine data

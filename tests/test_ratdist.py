@@ -5,6 +5,8 @@ import pytest
 
 from cyclicavg.errors import (
     DegenerateQuarticError,
+    DomainError,
+    InvalidAverageError,
     NegativeDiscriminantError,
     NonRationalInputError,
 )
@@ -42,6 +44,16 @@ class TestSideFromAverages:
     def test_negative_discriminant(self):
         with pytest.raises(NegativeDiscriminantError):
             side_from_averages(4, 1.0, 2.0)
+
+    @pytest.mark.parametrize("s2, s4, message", [
+        (1.0, 0.5, "S4 < S2"), (2.0, 3.9, "S4 < S2"),
+        (0.0, 1.0, "S2 must be positive"), (-1.0, 1.0, "S2 must be positive"),
+    ])
+    def test_refuses_impossible_averages(self, s2, s4, message):
+        # impossible averages are refused as such: a domain error, CLI exit 2
+        with pytest.raises(InvalidAverageError, match=message) as caught:
+            side_from_averages(4, s2, s4)
+        assert isinstance(caught.value, DomainError)
 
     def test_genuine_branch_across_figures(self):
         import random

@@ -17,14 +17,12 @@ from cyclicavg.geometry import (
     solid_distances_sq,
     solid_vertices,
 )
-from cyclicavg.polygon import _power_sum
+from cyclicavg.polygon import _design_sum, _power_sum, cyclic_average
 from cyclicavg.solids import (
     antipodal_pair_sums,
     circumsphere_residual,
     cube_quadruple_residuals,
-    per_vertex_solid_power_sum_sq,
     recover_r2_l2_solid,
-    solid_cyclic_average,
     solid_locus_classify,
     solid_power_sum_brute,
     solid_power_sum_closed,
@@ -227,7 +225,7 @@ class TestRelations:
             spec = SolidSpec(kind, Fraction(1))
             r_sq = spec.R_sq
             l_sq = Fraction(7, 5)
-            avgs = {m: per_vertex_solid_power_sum_sq(m, r_sq, l_sq)
+            avgs = {m: _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
                     for m in range(1, kind.t + 1)}
             rows = solid_relation_residuals(kind, r_sq, avgs.get(1), avgs.get(2),
                                             avgs.get(3), avgs.get(4), avgs.get(5))
@@ -272,7 +270,7 @@ class TestRelations:
         for _ in range(50):
             p = _random_point(rng, 4.0)
             d_sq = solid_distances_sq(fspec, p)
-            scale = 4 * per_vertex_solid_power_sum_sq(2, 3.0, float(p.L_sq))
+            scale = solid_power_sum_closed_sq(SolidKind.TETRAHEDRON, 2, 3.0, float(p.L_sq))
             worst = max(abs(r) for r in cube_quadruple_residuals(d_sq, 3.0,
                                                                  float(p.L_sq)))
             assert worst < 1e-9 * scale
@@ -302,11 +300,11 @@ class TestRelations:
         d_sq = solid_distances_sq(spec, p)
         odd = [d_sq[i] for i in (0, 2, 4, 6)]
         for m in (1, 2):
-            expected = 4 * per_vertex_solid_power_sum_sq(m, spec.R_sq, p.L_sq)
+            expected = solid_power_sum_closed_sq(SolidKind.TETRAHEDRON, m, spec.R_sq, p.L_sq)
             assert sum(v ** m for v in odd) == expected
 
 
 def test_cyclic_average_wrapper():
-    avg = solid_cyclic_average(SolidSpec(SolidKind.OCTAHEDRON, 1.0), 2, 1.0)
+    avg = cyclic_average(SolidSpec(SolidKind.OCTAHEDRON, 1.0), 2, 1.0)
     assert avg.value == pytest.approx(32.0 / 6.0)
     assert avg.m == 2

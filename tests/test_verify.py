@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -25,6 +27,28 @@ def test_verify_text_matches_recorded_digest(seed):
     assert ok
     assert "0 failures" in text
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[str(seed)]
+
+
+def test_benchmark_calls_resolve():
+    # the benchmark names library functions as (module, "attribute") tuples and
+    # module.attribute uses; a deleted or renamed one would break its runs
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "cyclicavg"
+               for alias in node.names}
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                and isinstance(node.elts[0], ast.Name) and node.elts[0].id in modules
+                and isinstance(node.elts[1], ast.Constant)):
+            used.add((node.elts[0].id, node.elts[1].value))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            used.add((node.value.id, node.attr))
+    assert used, "no library call found in workloads.py"
+    missing = [f"{module}.{attr}" for module, attr in sorted(used)
+               if not hasattr(importlib.import_module(f"cyclicavg.{module}"), attr)]
+    assert not missing
 
 
 def _sections(text: str) -> dict[str, list[str]]:
