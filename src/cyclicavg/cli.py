@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage errors, 2 domain errors (an empty locus is a
 result, not an error).  The default scalar backend is float; `--backend
-exact` switches to exact rationals, printed as reduced fractions (and
-"p + q*sqrt(5)" in the golden ratio field).
+exact`, taken by eval, oracle, locus, solve and recover, switches to exact
+rationals, printed as reduced fractions (and "p + q*sqrt(5)" in the golden
+ratio field).
 """
 
 from __future__ import annotations
@@ -130,16 +131,14 @@ def build_parser() -> _Parser:
     p.add_argument("--space", action="store_true",
                    help="with --s2/--s4: use the Platonic-solid relation")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the seeded verification sweeps")
+    p = sub.add_parser("verify", help="run the seeded verification sweeps")
     p.add_argument("--scope", choices=SCOPES, default="all")
     p.add_argument("--seed", type=int, default=7)
 
-    sub.add_parser("rational24", parents=[common],
+    sub.add_parser("rational24",
                    help="impossibility report: rational distances on the unit 24-gon")
 
-    p = sub.add_parser("plot", parents=[common],
-                       help="emit CSV or SVG plot data on stdout")
+    p = sub.add_parser("plot", help="emit CSV or SVG plot data on stdout")
     p.add_argument("kind", choices=("locus-circle", "powersum-vs-alpha",
                                     "powersum-vs-L"),
                    help="locus-circle is emitted as SVG, the power-sum curves as CSV")
@@ -151,17 +150,20 @@ def build_parser() -> _Parser:
     p.add_argument("--C", help="constant sum (locus-circle)")
     p.add_argument("--samples", type=int, default=plotting.DEFAULT_SAMPLES)
 
-    sub.add_parser("errata", parents=[common],
-                   help="print the corrected-misprint registry, re-verified")
+    sub.add_parser("errata", help="print the corrected-misprint registry, re-verified")
     return parser
+
+
+def _check_polygon(n: int, parser: _Parser) -> None:
+    if not 3 <= n <= MAX_CLI_VERTICES:
+        parser.error(f"--polygon must be in 3..{MAX_CLI_VERTICES}")
 
 
 def _figure(args, parser: _Parser, exact: bool):
     if (args.polygon is None) == (args.solid is None):
         parser.error("exactly one of --polygon/--solid is required")
     if args.polygon is not None:
-        if not 3 <= args.polygon <= MAX_CLI_VERTICES:
-            parser.error(f"--polygon must be in 3..{MAX_CLI_VERTICES}")
+        _check_polygon(args.polygon, parser)
         R = _parse_number(args.R, exact) if args.R is not None else (Fraction(1) if exact else 1.0)
         return PolygonSpec(args.polygon, R)
     kind = SolidKind.parse(args.solid)
@@ -240,18 +242,14 @@ def _cmd_recover(args, parser: _Parser) -> int:
             parser.error("--dsq recovery needs --polygon {3,4,6}")
         d_sq = tuple(_parse_number(t, exact) for t in args.dsq.split(","))
         pair = recover_spec_from_distances(args.polygon, d_sq)
+        branches = (pair.plus, pair.minus)
     elif args.s2 and args.s4:
-        s2 = _parse_number(args.s2, exact)
-        s4 = _parse_number(args.s4, exact)
         recover = recover_r2_l2_solid if args.space else recover_r2_l2
-        hi, lo = recover(s2, s4)
-        pair_values = ((hi, lo), (lo, hi))
-        for label, (r2, l2) in zip(("plus ", "minus"), pair_values):
-            print(f"{label}: R^2 = {format_scalar(r2)}, L^2 = {format_scalar(l2)}")
-        return 0
+        hi, lo = recover(_parse_number(args.s2, exact), _parse_number(args.s4, exact))
+        branches = ((hi, lo), (lo, hi))
     else:
         parser.error("recover needs either --dsq or both --s2 and --s4")
-    for label, (r2, l2) in (("plus ", pair.plus), ("minus", pair.minus)):
+    for label, (r2, l2) in zip(("plus ", "minus"), branches):
         print(f"{label}: R^2 = {format_scalar(r2)}, L^2 = {format_scalar(l2)}")
     return 0
 
@@ -264,8 +262,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
 
 def _cmd_plot(args, parser: _Parser) -> int:
     R = float(_parse_number(args.R, False))
-    if not 3 <= args.polygon <= MAX_CLI_VERTICES:
-        parser.error(f"--polygon must be in 3..{MAX_CLI_VERTICES}")
+    _check_polygon(args.polygon, parser)
     if args.samples < 1:
         parser.error("--samples must be >= 1")
     if args.kind == "locus-circle":
@@ -287,6 +284,16 @@ def _cmd_plot(args, parser: _Parser) -> int:
     return 0
 
 
+def _cmd_rational24(args, parser: _Parser) -> int:
+    print(rational24_report().render())
+    return 0
+
+
+def _cmd_errata(args, parser: _Parser) -> int:
+    sys.stdout.write(errata_mod.render_errata_table())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -297,15 +304,11 @@ def main(argv: list[str] | None = None) -> int:
         "solve": _cmd_solve,
         "recover": _cmd_recover,
         "verify": _cmd_verify,
+        "rational24": _cmd_rational24,
         "plot": _cmd_plot,
+        "errata": _cmd_errata,
     }
     try:
-        if args.command == "rational24":
-            print(rational24_report().render())
-            return 0
-        if args.command == "errata":
-            sys.stdout.write(errata_mod.render_errata_table())
-            return 0
         return handlers[args.command](args, parser)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

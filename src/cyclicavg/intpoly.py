@@ -63,12 +63,6 @@ class IntegerPolynomial:
             out = out * x + c
         return out
 
-    def eval_float(self, x: float) -> float:
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def derivative(self) -> "IntegerPolynomial":
         return IntegerPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0,))
 
@@ -102,11 +96,13 @@ def poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic integer polynomial b.
+def divmod_monic(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic polynomial b.
 
-    The remainder always has len(b) - 1 coefficients, so residues mod b are
-    fixed-length vectors.
+    The package's only long division: over Z directly, over Q with
+    ``Fraction`` coefficients, and over F_q with b made monic mod q and both
+    results reduced by ``_mod``.  The remainder always has len(b) - 1
+    coefficients, so residues mod b are fixed-length vectors.
     """
     k = len(b) - 1
     rem = list(a) + [0] * max(0, k - len(a))
@@ -137,9 +133,8 @@ def divides(candidate: IntegerPolynomial, target: IntegerPolynomial) -> bool:
         return not candidate.is_zero()
     if target.degree < candidate.degree:
         return False
-    rem = _frac_poly_mod([Fraction(c) for c in target.coeffs],
-                         [Fraction(c) for c in candidate.coeffs])
-    return not any(rem)
+    lead = candidate.leading
+    return not any(divmod_monic(target.coeffs, [Fraction(c, lead) for c in candidate.coeffs])[1])
 
 
 def rational_roots(p: IntegerPolynomial) -> list[Fraction]:
@@ -187,72 +182,36 @@ def is_squarefree(p: IntegerPolynomial) -> bool:
     a = [Fraction(c) for c in p.coeffs]
     b = [Fraction(c) for c in p.derivative().coeffs]
     while any(b):
-        a, b = b, _frac_poly_mod(a, b)
-    deg = max((i for i, c in enumerate(a) if c), default=0)
-    return deg == 0
-
-
-def _frac_poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b and b[-1] == 0:
-        b = b[:-1]
-    rem = list(a)
-    for i in range(len(rem) - len(b), -1, -1):
-        f = rem[i + len(b) - 1] / b[-1]
-        if f:
-            for j, y in enumerate(b):
-                rem[i + j] -= f * y
-    out = rem[: len(b) - 1]
-    return out if out else [Fraction(0)]
+        while not b[-1]:
+            b.pop()
+        a, b = b, divmod_monic(a, [c / b[-1] for c in b])[1]
+    return not any(a[1:])
 
 
 # ---------------------------------------------------------------------------
 # arithmetic in F_q[x]
 
 
-def _mod_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _mod_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return _mod_trim(out)
-
-
-def _mod_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    rem = list(a)
-    if len(rem) < len(b):
-        return [0], _mod_trim(rem)
-    quo = [0] * (len(rem) - len(b) + 1)
-    inv = pow(b[-1], -1, q)
-    for i in range(len(rem) - len(b), -1, -1):
-        f = rem[i + len(b) - 1] * inv % q
-        quo[i] = f
-        if f:
-            for j, y in enumerate(b):
-                rem[i + j] = (rem[i + j] - f * y) % q
-    return _mod_trim(quo), _mod_trim(rem[: len(b) - 1] or [0])
+def _mod(a: Sequence[int], q: int) -> list[int]:
+    """a reduced mod q and trimmed; an empty remainder reads as [0]."""
+    out = [c % q for c in a] or [0]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _mod_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a = _mod_trim(list(a))
-    b = _mod_trim(list(b))
+    """Monic gcd over F_q of reduced, trimmed a and b."""
     while b != [0]:
-        _, r = _mod_divmod(a, b, q)
-        a, b = b, r
+        inv = pow(b[-1], -1, q)
+        a, b = b, _mod(divmod_monic(a, _mod([c * inv for c in b], q))[1], q)
     inv = pow(a[-1], -1, q)
-    return _mod_trim([c * inv % q for c in a])
+    return _mod([c * inv for c in a], q)
 
 
 def _mod_pow_x(e: int, modulus: list[int], q: int) -> list[int]:
-    """x^e reduced mod (modulus) over F_q, by square and multiply."""
-    base = _mod_divmod([0, 1], modulus, q)[1] if len(modulus) <= 2 else [0, 1]
-    return power(base, e, lambda u, v: _mod_divmod(_mod_mul(u, v, q), modulus, q)[1], [1])
+    """x^e reduced mod the monic modulus of degree >= 2 over F_q."""
+    return power([0, 1], e, lambda u, v: _mod(divmod_monic(poly_mul(u, v), modulus)[1], q), [1])
 
 
 def factor_degrees_mod(p: IntegerPolynomial, q: int) -> list[int] | None:
@@ -261,12 +220,12 @@ def factor_degrees_mod(p: IntegerPolynomial, q: int) -> list[int] | None:
     None when q is unusable: q divides the leading coefficient or the
     reduction is not squarefree.
     """
-    f = _mod_trim([c % q for c in p.coeffs])
+    f = _mod(p.coeffs, q)
     if len(f) - 1 != p.degree:
         return None
     inv = pow(f[-1], -1, q)
-    f = [c * inv % q for c in f]
-    deriv = _mod_trim([(i * c) % q for i, c in enumerate(f)][1:] or [0])
+    f = _mod([c * inv for c in f], q)
+    deriv = _mod([i * c for i, c in enumerate(f)][1:], q)
     if deriv == [0] or len(_mod_gcd(f, deriv, q)) > 1:
         return None
     degrees: list[int] = []
@@ -276,13 +235,10 @@ def factor_degrees_mod(p: IntegerPolynomial, q: int) -> list[int] | None:
         if 2 * d > len(f) - 1:
             degrees.append(len(f) - 1)
             break
-        xq = _mod_pow_x(q ** d, f, q)
-        probe = list(xq) + [0] * max(0, 2 - len(xq))
-        probe[1] = (probe[1] - 1) % q
-        g = _mod_gcd(f, _mod_trim(probe), q)
+        g = _mod_gcd(f, _mod(poly_sub(_mod_pow_x(q ** d, f, q), [0, 1]), q), q)
         if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
-            f, _ = _mod_divmod(f, g, q)
+            f = _mod(divmod_monic(f, g)[0], q)
     return sorted(degrees)
 
 
@@ -351,16 +307,12 @@ def _lagrange_basis(xs: Sequence[int]) -> list[list[Fraction]]:
     """Coefficient vectors of the Lagrange basis polynomials over xs."""
     out = []
     for i, xi in enumerate(xs):
-        poly = [Fraction(1)]
-        den = 1
+        poly, den = [1], 1
         for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            poly = [Fraction(0)] + poly
-            for k in range(len(poly) - 1):
-                poly[k] -= xj * poly[k + 1]
-            den *= xi - xj
-        out.append([c / den for c in poly])
+            if i != j:
+                poly = poly_mul(poly, [-xj, 1])
+                den *= xi - xj
+        out.append([Fraction(c, den) for c in poly])
     return out
 
 

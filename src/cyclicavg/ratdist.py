@@ -241,7 +241,7 @@ def rational24_report() -> RationalDistanceReport:
         quartic_example=witness,
         quartic_residual=witness(sin_value),
         octic=octic,
-        octic_float_residual=octic.eval_float(sin_value),
+        octic_float_residual=octic(sin_value),
         rational_root_count=len(roots),
         approximant_values=tuple(approximants),
         certificate=certificate,

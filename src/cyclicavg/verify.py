@@ -479,7 +479,7 @@ def sweep_octic(seed: int) -> list[SweepRow]:
     prime = f", prime={cert.certifying_prime}" if cert.certifying_prime else ""
     return [
         _worst("degree-8 polynomial annihilates sin(pi/24) (float)",
-               [abs(octic.eval_float(s))], 1e-12),
+               [abs(octic(s))], 1e-12),
         _exact("degree-8 polynomial has no rational roots",
                [len(rational_roots(octic)) == 0]),
         _exact("rational approximants of sin(pi/24) are not roots",

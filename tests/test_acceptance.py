@@ -327,7 +327,7 @@ def test_criterion_08_errata_registry():
 def test_criterion_09_rational_distance_pipeline():
     octic = sin_pi_24_minimal_polynomial()
     s = sin_pi_24_float()
-    float_residual = abs(octic.eval_float(s))
+    float_residual = abs(octic(s))
     roots = rational_roots(octic)
     cert = certify_no_small_factor(octic, max_degree=4)
     rng = random.Random(109)

@@ -330,6 +330,15 @@ class TestReportsAndSweeps:
         assert code == 0
         assert out.count("corrected form verified") == 4
 
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("rational24",), ("errata",),
+        ("plot", "powersum-vs-L", "--polygon", "4", "--R", "1", "--m", "2")])
+    def test_backend_is_refused_where_nothing_reads_it(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv, "--backend", "exact")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --backend exact" in capsys.readouterr().err
+
     def test_verify_rational_scope_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "verify", "--scope", "rational",
                                  "--seed", "7")

@@ -34,7 +34,7 @@ class TestIntegerPolynomial:
         p = IntegerPolynomial((1, -3, 2))  # 2x^2 - 3x + 1
         assert p(2) == 3
         assert p(Fraction(1, 2)) == 0
-        assert p.eval_float(2.0) == pytest.approx(3.0)
+        assert p(2.0) == pytest.approx(3.0)
 
     def test_derivative_and_str(self):
         p = IntegerPolynomial((5, 0, 3))
@@ -51,6 +51,10 @@ def test_divides():
     product = IntegerPolynomial(tuple(poly_mul([-2, 0, 1], [-3, 0, 1])))
     assert divides(X2_MINUS_2, product)
     assert not divides(IntegerPolynomial((-1, 0, 1)), product)
+    # non-monic: 3x - 1 divides (2x + 1)(3x - 1) over the rationals
+    non_monic = IntegerPolynomial(tuple(poly_mul([1, 2], [-1, 3])))
+    assert divides(IntegerPolynomial((-1, 3)), non_monic)
+    assert not divides(IntegerPolynomial((1, 3)), non_monic)
 
 
 def test_divides_edge_cases():
@@ -66,6 +70,11 @@ def test_divmod_monic():
     assert len(rem) == 2
     assert [x + y for x, y in zip(poly_mul(quo, b), rem + [0, 0])] == a
     assert divmod_monic([7], [2, 0, 1]) == ([0], [7, 0])
+    # over Q: Fraction coefficients, a = q*b + r exactly
+    a, b = [Fraction(1, 2), 3, Fraction(-2, 3), 5, 1], [Fraction(1, 3), Fraction(-3, 2), 1]
+    quo, rem = divmod_monic(a, b)
+    assert len(rem) == 2 and any(rem)
+    assert [x + y for x, y in zip(poly_mul(quo, b), rem + [0, 0, 0])] == a
 
 
 def _totient(n):
@@ -101,6 +110,10 @@ def test_is_squarefree():
     assert is_squarefree(X2_MINUS_2)
     assert is_squarefree(IntegerPolynomial((-1, 0, 1)))
     assert not is_squarefree(IntegerPolynomial((1, 2, 1)))  # (x + 1)^2
+    two_x_plus_1 = [1, 2]
+    squared = poly_mul(poly_mul(two_x_plus_1, two_x_plus_1), [-3, 1])
+    assert not is_squarefree(IntegerPolynomial(tuple(squared)))  # (2x + 1)^2 (x - 3)
+    assert is_squarefree(IntegerPolynomial(tuple(poly_mul(two_x_plus_1, [-1, 3]))))
 
 
 class TestFactorDegreesMod:

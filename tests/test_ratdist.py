@@ -107,7 +107,7 @@ class TestOcticPolynomial:
         p = sin_pi_24_minimal_polynomial()
         s = sin_pi_24_float()
         assert abs(s - math.sin(math.pi / 24)) < 1e-15
-        assert abs(p.eval_float(s)) < 1e-12
+        assert abs(p(s)) < 1e-12
 
     def test_no_rational_root_near_the_value(self):
         p = sin_pi_24_minimal_polynomial()

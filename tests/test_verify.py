@@ -51,6 +51,22 @@ def test_benchmark_calls_resolve():
     assert not missing
 
 
+def test_runtime_imports_are_stdlib_only():
+    # every absolute import of the package names a standard-library module
+    foreign = []
+    for path in sorted((ROOT / "src" / "cyclicavg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign
+
+
 def _sections(text: str) -> dict[str, list[str]]:
     sections: dict[str, list[str]] = {}
     current = None
