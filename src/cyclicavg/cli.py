@@ -87,8 +87,14 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common, figure],
-                       help="closed-form sum of d^(2m) over all vertices")
+    def command(name: str, handler, **kwargs) -> _Parser:
+        # usage errors inside the handler print this subcommand's usage
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    p = command("eval", _cmd_eval, parents=[common, figure],
+                help="closed-form sum of d^(2m) over all vertices")
     p.add_argument("--R", help="circumradius")
     p.add_argument("--c", help="solid coordinate scale (alternative to --R)")
     p.add_argument("--L", required=True, help="distance from the centroid")
@@ -96,8 +102,8 @@ def build_parser() -> _Parser:
     p.add_argument("--average", action="store_true",
                    help="print the cyclic average instead of the sum")
 
-    p = sub.add_parser("oracle", parents=[common, figure],
-                       help="brute-force sum of d^(2m) at a concrete placement")
+    p = command("oracle", _cmd_oracle, parents=[common, figure],
+                help="brute-force sum of d^(2m) at a concrete placement")
     p.add_argument("--R", help="circumradius")
     p.add_argument("--c", help="solid coordinate scale (alternative to --R)")
     p.add_argument("--m", type=int, required=True)
@@ -108,21 +114,21 @@ def build_parser() -> _Parser:
     p.add_argument("--y", help="solid: placement y")
     p.add_argument("--z", help="solid: placement z")
 
-    p = sub.add_parser("locus", parents=[common, figure],
-                       help="classify the locus of sum d^(2m) = C")
+    p = command("locus", _cmd_locus, parents=[common, figure],
+                help="classify the locus of sum d^(2m) = C")
     p.add_argument("--R", required=True, help="circumradius")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--C", required=True, help="the constant sum")
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="distance system branches from (R, L, d1^2), n in {3,4,6}")
+    p = command("solve", _cmd_solve, parents=[common],
+                help="distance system branches from (R, L, d1^2), n in {3,4,6}")
     p.add_argument("--polygon", type=int, required=True, choices=(3, 4, 6))
     p.add_argument("--R", required=True)
     p.add_argument("--L", required=True)
     p.add_argument("--d1sq", required=True, help="squared first distance")
 
-    p = sub.add_parser("recover", parents=[common],
-                       help="recover {R^2, L^2} from averages or distances")
+    p = command("recover", _cmd_recover, parents=[common],
+                help="recover {R^2, L^2} from averages or distances")
     p.add_argument("--polygon", type=int, choices=(3, 4, 6),
                    help="recover from a squared-distance list (needs --dsq)")
     p.add_argument("--dsq", help="comma-separated squared distances d1^2,d2^2,...")
@@ -131,14 +137,14 @@ def build_parser() -> _Parser:
     p.add_argument("--space", action="store_true",
                    help="with --s2/--s4: use the Platonic-solid relation")
 
-    p = sub.add_parser("verify", help="run the seeded verification sweeps")
+    p = command("verify", _cmd_verify, help="run the seeded verification sweeps")
     p.add_argument("--scope", choices=SCOPES, default="all")
     p.add_argument("--seed", type=int, default=7)
 
-    sub.add_parser("rational24",
-                   help="impossibility report: rational distances on the unit 24-gon")
+    command("rational24", _cmd_rational24,
+            help="impossibility report: rational distances on the unit 24-gon")
 
-    p = sub.add_parser("plot", help="emit CSV or SVG plot data on stdout")
+    p = command("plot", _cmd_plot, help="emit CSV or SVG plot data on stdout")
     p.add_argument("kind", choices=("locus-circle", "powersum-vs-alpha",
                                     "powersum-vs-L"),
                    help="locus-circle is emitted as SVG, the power-sum curves as CSV")
@@ -150,7 +156,7 @@ def build_parser() -> _Parser:
     p.add_argument("--C", help="constant sum (locus-circle)")
     p.add_argument("--samples", type=int, default=plotting.DEFAULT_SAMPLES)
 
-    sub.add_parser("errata", help="print the corrected-misprint registry, re-verified")
+    command("errata", _cmd_errata, help="print the corrected-misprint registry, re-verified")
     return parser
 
 
@@ -295,21 +301,9 @@ def _cmd_errata(args, parser: _Parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "oracle": _cmd_oracle,
-        "locus": _cmd_locus,
-        "solve": _cmd_solve,
-        "recover": _cmd_recover,
-        "verify": _cmd_verify,
-        "rational24": _cmd_rational24,
-        "plot": _cmd_plot,
-        "errata": _cmd_errata,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args, args.parser)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     InvalidAverageError,
@@ -309,17 +309,23 @@ def locus_classify(spec: Figure, m: int, C: Scalar) -> Locus:
 # conversions between averages and (R^2, L^2)
 
 
-def _s4_gap(s2: Scalar, s4: Scalar) -> Scalar:
-    """S4 - S2^2, which genuine data keep >= 0; exact inputs get no tolerance.
+def _nonnegative(x: Scalar, s2: Scalar, refuse: Callable[[Scalar], Exception]) -> Scalar:
+    """x, which genuine data keep >= 0; exact inputs get no tolerance.
 
-    Floats may round the gap below zero: down to -1e-12 S2^2 it reads as 0.
+    Floats may round x below zero: down to -1e-12 S2^2 it reads as 0, and
+    below that ``refuse(x)`` is raised.
     """
-    gap = s4 - _finite(s2 * s2)
-    if not gap < 0:
-        return gap
-    if is_exact(gap) or gap < -1e-12 * s2 * s2:
-        raise InvalidAverageError("S4 < S2^2 is impossible for genuine data")
+    if not x < 0:
+        return x
+    if is_exact(x) or x < -1e-12 * s2 * s2:
+        raise refuse(x)
     return 0.0
+
+
+def _s4_gap(s2: Scalar, s4: Scalar) -> Scalar:
+    """S4 - S2^2, which genuine data keep >= 0."""
+    return _nonnegative(s4 - _finite(s2 * s2), s2, lambda _: InvalidAverageError(
+        "S4 < S2^2 is impossible for genuine data"))
 
 
 def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
@@ -331,12 +337,9 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     if not s2 > 0:
         raise InvalidAverageError("S2 must be positive")
     _s4_gap(s2, s4)  # (4/dim) R^2 L^2, refused when negative
-    disc = (dim + 1) * s2 * s2 - dim * s4
-    if disc < 0:
-        if is_exact(disc) or disc < -1e-12 * s2 * s2:
-            raise NegativeDiscriminantError(
-                f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: no real (R^2, L^2) exists")
-        disc = 0.0  # float rounding at R = L, as in _s4_gap
+    disc = _nonnegative((dim + 1) * s2 * s2 - dim * s4, s2, lambda disc: (
+        NegativeDiscriminantError(f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: "
+                                  "no real (R^2, L^2) exists")))
     root = sqrt_scalar(_finite(disc))
     low = _HALF * (s2 - root)  # a float may round below 0 at the centre
     return (_HALF * (s2 + root), max(low, 0.0) if isinstance(low, float) else low)

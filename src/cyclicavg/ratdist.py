@@ -21,11 +21,11 @@ from typing import Sequence
 
 from .errors import DegenerateQuarticError, NonRationalInputError
 from .fields import Scalar, exact_sqrt
-from .geometry import PlanePlacement, PolygonSpec, heron_area_16sq, polygon_distances_sq
+from .geometry import PlanePlacement, PolygonSpec, polygon_distances_sq
 from .intpoly import DegreeCertificate, IntegerPolynomial, certify_no_small_factor, \
     poly_mul, poly_sub, rational_roots
 from .polygon import recover_r2_l2
-from .relations import BranchPair
+from .relations import BranchPair, _window_areas
 
 
 def side_from_averages(n: int, s2: float, s4: float) -> BranchPair:
@@ -109,22 +109,12 @@ def necessary_condition_areas(n: int, d_sq: Sequence[Scalar]) -> AreaConditionRe
         d = [Fraction(x) for x in d_sq]
     except (TypeError, ValueError) as exc:
         raise NonRationalInputError("squared distances must be rational") from exc
-    if n == 4:
-        if len(d) != 4:
-            raise NonRationalInputError("need 4 squared distances")
-        # area(d1, sqrt2 d2, d3)^2 = h16/16
-        h1 = heron_area_16sq(d[0], 2 * d[1], d[2])
-        h2 = heron_area_16sq(d[1], 2 * d[2], d[3])
-        scaled = (Fraction(h1, 16), Fraction(h2, 16))
-    elif n == 6:
-        if len(d) != 6:
-            raise NonRationalInputError("need 6 squared distances")
-        # (sqrt3 * area(d1, d3, d5))^2 = 3 * h16/16
-        h1 = heron_area_16sq(d[0], d[2], d[4])
-        h2 = heron_area_16sq(d[1], d[3], d[5])
-        scaled = (Fraction(3 * h1, 16), Fraction(3 * h2, 16))
-    else:
+    if n not in (4, 6):
         raise NonRationalInputError("area conditions exist for n = 4 and n = 6")
+    if len(d) != n:
+        raise NonRationalInputError(f"need {n} squared distances")
+    # area(d1, sqrt2 d2, d3)^2 or (sqrt3 * area(d1, d3, d5))^2 = h16/16
+    scaled = tuple(Fraction(h16, 16) for _, h16 in _window_areas(n, d))
     values = tuple(exact_sqrt(s) if s >= 0 else None for s in scaled)
     rational = tuple(v is not None for v in values)
     return AreaConditionReport(n, scaled, values, rational, scaled[0] == scaled[1])
@@ -229,7 +219,7 @@ def rational24_report() -> RationalDistanceReport:
     octic = sin_pi_24_minimal_polynomial()
     roots = rational_roots(octic)
     approximants = []
-    for denom_power in (3, 4, 5, 6):
+    for denom_power in range(3, 9):
         approx = Fraction(sin_value).limit_denominator(10 ** denom_power)
         value = octic(approx)
         approximants.append((approx, 1 if value > 0 else (-1 if value < 0 else 0)))

@@ -78,9 +78,12 @@ def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
     """Full squared-distance multisets from (R, L, d1^2), for n in {3, 4, 6}.
 
     Both sign branches are returned; they are the two mirror placements of
-    the evaluation point across the axis through vertex 1.  d1^2 must lie in
+    the evaluation point across the axis through vertex 1, so the minus
+    branch lists d2..dn in reverse.  Needs R > 0, L >= 0 and d1^2 in
     [(R-L)^2, (R+L)^2], otherwise no placement attains it.
     """
+    if not (R > 0 and L >= 0):
+        raise OutOfRangeError(f"need R > 0 and L >= 0, got R = {R}, L = {L}")
     r_sq = R * R
     l_sq = L * L
     a = r_sq + l_sq
@@ -89,24 +92,40 @@ def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
         # d2^2, d3^2 = (3A - d1^2 +- 4 sqrt(3) area(R, L, d1)) / 2
         t = _branch_sqrt(3 * h16, a * a, UnattainableError)
         plus = (d1_sq, _HALF * (3 * a - d1_sq + t), _HALF * (3 * a - d1_sq - t))
-        minus = (d1_sq, _HALF * (3 * a - d1_sq - t), _HALF * (3 * a - d1_sq + t))
-        return BranchPair(plus, minus)
-    if n == 4:
+    elif n == 4:
         # d2^2, d4^2 = A +- 4 area;  d3^2 = 2A - d1^2
         t = _branch_sqrt(h16, a * a, UnattainableError)
-        d3 = 2 * a - d1_sq
-        return BranchPair((d1_sq, a + t, d3, a - t), (d1_sq, a - t, d3, a + t))
-    if n == 6:
+        plus = (d1_sq, a + t, 2 * a - d1_sq, a - t)
+    elif n == 6:
         # d2^2, d6^2 = (A + d1^2 +- 4 sqrt(3) area)/2
         # d3^2, d5^2 = (3A - d1^2 +- 4 sqrt(3) area)/2;  d4^2 = 2A - d1^2
         t = _branch_sqrt(3 * h16, a * a, UnattainableError)
-        d4 = 2 * a - d1_sq
         plus = (d1_sq, _HALF * (a + d1_sq + t), _HALF * (3 * a - d1_sq + t),
-                d4, _HALF * (3 * a - d1_sq - t), _HALF * (a + d1_sq - t))
-        minus = (d1_sq, _HALF * (a + d1_sq - t), _HALF * (3 * a - d1_sq - t),
-                 d4, _HALF * (3 * a - d1_sq + t), _HALF * (a + d1_sq + t))
-        return BranchPair(plus, minus)
-    raise OutOfRangeError("explicit distance solvers exist for n in {3, 4, 6} only")
+                2 * a - d1_sq, _HALF * (3 * a - d1_sq - t), _HALF * (a + d1_sq - t))
+    else:
+        raise OutOfRangeError("explicit distance solvers exist for n in {3, 4, 6} only")
+    return BranchPair(plus, (plus[0], *reversed(plus[1:])))
+
+
+# n -> (factor on the middle squared side, weight on 16 area^2, index windows):
+# each window's squared distances are the squared sides of one triangle.  The
+# square's has the side sqrt(2) d2; n = 3, 6 weigh by 3 for sqrt(3) * area.
+_WINDOWS = {
+    3: (1, 3, ((0, 1, 2),)),
+    4: (2, 1, ((0, 1, 2), (1, 2, 3))),
+    6: (1, 3, ((0, 2, 4), (1, 3, 5))),
+}
+
+
+def _window_areas(n: int, d_sq: Sequence[Scalar]) -> list[tuple[tuple, Scalar]]:
+    """Each index window's three squared distances and weighted heron_area_16sq."""
+    if n not in _WINDOWS:
+        raise OutOfRangeError("recovery formulas exist for n in {3, 4, 6} only")
+    if len(d_sq) != n:
+        raise OutOfRangeError(f"need {n} squared distances, got {len(d_sq)}")
+    middle, weight, windows = _WINDOWS[n]
+    triples = [(d_sq[i], d_sq[j], d_sq[k]) for i, j, k in windows]
+    return [(w, weight * heron_area_16sq(w[0], middle * w[1], w[2])) for w in triples]
 
 
 def recover_spec_from_distances(n: int, d_sq: Sequence[Scalar]) -> BranchPair:
@@ -116,51 +135,23 @@ def recover_spec_from_distances(n: int, d_sq: Sequence[Scalar]) -> BranchPair:
     n = 4 and n = 6 two independent index windows each determine the answer
     and must agree, which catches multisets no placement can produce.
     """
-    if n == 3:
-        _need(d_sq, 3)
-        return _recover_from_triple(d_sq)
-    if n == 4:
-        _need(d_sq, 4)
-        d1, d2, d3, d4 = d_sq
-        w1 = _recover_square_window(d1, d2, d3)
-        w2 = _recover_square_window(d2, d3, d4)
-        _require_matching_windows(w1, w2)
-        return w1
-    if n == 6:
-        _need(d_sq, 6)
-        w1 = _recover_from_triple((d_sq[0], d_sq[2], d_sq[4]))
-        w2 = _recover_from_triple((d_sq[1], d_sq[3], d_sq[5]))
-        _require_matching_windows(w1, w2)
-        return w1
-    raise OutOfRangeError("recovery formulas exist for n in {3, 4, 6} only")
+    pairs = []
+    for window, h16 in _window_areas(n, d_sq):
+        s = sum(window)
+        t = _branch_sqrt(h16, s * s, InconsistentDistancesError)
+        if n == 4:  # R^2, L^2 = (d1 + d3)/4 +- area(d1, sqrt2 d2, d3)
+            base, area = _QUARTER * (window[0] + window[2]), t / 4
+            pairs.append((base + area, base - area))
+        else:  # R^2, L^2 = (sum +- 4 sqrt(3) area(da, db, dc)) / 6
+            pairs.append((_SIXTH * (s + t), _SIXTH * (s - t)))
+    for other in pairs[1:]:
+        _require_matching_windows(pairs[0], other)
+    return BranchPair(pairs[0], pairs[0][::-1])
 
 
-def _need(d_sq: Sequence[Scalar], n: int) -> None:
-    if len(d_sq) != n:
-        raise OutOfRangeError(f"need {n} squared distances, got {len(d_sq)}")
-
-
-def _recover_from_triple(triple: Sequence[Scalar]) -> BranchPair:
-    # R^2, L^2 = (sum +- 4 sqrt(3) area(da, db, dc)) / 6
-    h16 = heron_area_16sq(*triple)
-    s = sum(triple)
-    t = _branch_sqrt(3 * h16, s * s, InconsistentDistancesError)
-    return BranchPair((_SIXTH * (s + t), _SIXTH * (s - t)),
-                      (_SIXTH * (s - t), _SIXTH * (s + t)))
-
-
-def _recover_square_window(da: Scalar, db: Scalar, dc: Scalar) -> BranchPair:
-    # R^2, L^2 = (da + dc)/4 +- area(da, sqrt2 db, dc)
-    h16 = heron_area_16sq(da, 2 * db, dc)
-    s = da + db + dc
-    area = _branch_sqrt(h16, s * s, InconsistentDistancesError) / 4
-    base = _QUARTER * (da + dc)
-    return BranchPair((base + area, base - area), (base - area, base + area))
-
-
-def _require_matching_windows(w1: BranchPair, w2: BranchPair) -> None:
-    a1, b1 = w1.plus
-    a2, b2 = w2.plus
+def _require_matching_windows(w1: tuple, w2: tuple) -> None:
+    a1, b1 = w1
+    a2, b2 = w2
     if is_exact(a1) and is_exact(a2):
         if a1 != a2 or b1 != b2:
             raise InconsistentDistancesError("index windows disagree")

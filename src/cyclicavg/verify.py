@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import errata as errata_mod
 from . import ratdist, trigsums
 from .fields import GOLDEN_RATIO, rel_err
-from .intpoly import certify_no_small_factor, rational_roots
 from .geometry import (
     PlanePlacement,
     PolygonSpec,
@@ -473,18 +472,16 @@ def sweep_side_recovery(seed: int) -> SweepRow:
 
 def sweep_octic(seed: int) -> list[SweepRow]:
     del seed
-    octic = ratdist.sin_pi_24_minimal_polynomial()
-    s = ratdist.sin_pi_24_float()
-    cert = certify_no_small_factor(octic, max_degree=4)
+    report = ratdist.rational24_report()
+    cert = report.certificate
     prime = f", prime={cert.certifying_prime}" if cert.certifying_prime else ""
     return [
         _worst("degree-8 polynomial annihilates sin(pi/24) (float)",
-               [abs(octic(s))], 1e-12),
+               [abs(report.octic_float_residual)], 1e-12),
         _exact("degree-8 polynomial has no rational roots",
-               [len(rational_roots(octic)) == 0]),
+               [report.rational_root_count == 0]),
         _exact("rational approximants of sin(pi/24) are not roots",
-               (octic(Fraction(s).limit_denominator(10 ** k)) != 0
-                for k in (3, 4, 5, 6, 7, 8))),
+               (sign != 0 for _, sign in report.approximant_values)),
         _exact("no factor of degree <= 4: certificate for the octic", [cert.certified],
                f"method={cert.method}{prime}")]
 

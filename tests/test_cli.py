@@ -216,6 +216,13 @@ class TestSolveRecover:
         assert code == 0
         assert "0, 1, 3, 4, 3, 1" in out
 
+    @pytest.mark.parametrize("R, L", [("-1", "1"), ("0", "1"), ("1", "-1")])
+    def test_solve_refuses_nonpositive_R_and_negative_L(self, capsys, R, L):
+        code, out, err = run_cli(capsys, "solve", "--polygon", "3", f"--R={R}",
+                                 f"--L={L}", "--d1sq", "1")
+        assert (code, out) == (2, "")
+        assert "need R > 0 and L >= 0" in err
+
     def test_recover_distances(self, capsys):
         code, out, _ = run_cli(capsys, "recover", "--polygon", "3",
                                "--dsq", "1,7,7", "--backend", "exact")
@@ -316,6 +323,15 @@ class TestPlot:
             run_cli(capsys, "plot", "powersum-vs-L", "--polygon", "4", "--R", "1",
                     "--m", "2", "--samples", samples)
         assert exc.value.code == 1
+
+    def test_handler_usage_error_prints_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "plot", "powersum-vs-L", "--polygon", "65", "--R", "1",
+                    "--m", "3")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cyclicavg plot")
+        assert "--polygon must be in 3..64" in err
 
 
 class TestReportsAndSweeps:

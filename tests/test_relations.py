@@ -17,6 +17,7 @@ from cyclicavg.geometry import (
     polygon_side_sq,
 )
 from cyclicavg.polygon import polygon_distances_sq_exact
+from cyclicavg.ratdist import necessary_condition_areas
 from cyclicavg.relations import (
     opposite_pair_sums,
     recover_spec_from_distances,
@@ -95,6 +96,23 @@ class TestSolveDistances:
         with pytest.raises(OutOfRangeError):
             solve_distances(5, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("R, L", [(-1.0, 1.0), (0.0, 1.0), (Fraction(0), Fraction(1)),
+                                      (1.0, -0.5), (Fraction(1), Fraction(-1, 2)),
+                                      (math.nan, 1.0), (1.0, math.nan)])
+    def test_refuses_nonpositive_R_and_negative_L(self, R, L):
+        for n in (3, 4, 6):
+            with pytest.raises(OutOfRangeError):
+                solve_distances(n, R, L, 1.0)
+
+    @pytest.mark.parametrize("n, R, L, d1_sq", [
+        # R, L and d1 span a triangle with a rational area (n = 4) or with a
+        # rational sqrt(3) times its area (n = 3, 6), so both branches are exact
+        (3, 2, 1, 3), (4, 3, 4, 25), (6, 2, 1, 3)])
+    def test_minus_branch_is_the_reversed_tail_mirror(self, n, R, L, d1_sq):
+        plus, minus = solve_distances(n, Fraction(R), Fraction(L), Fraction(d1_sq))
+        assert plus != minus
+        assert minus == (plus[0], *reversed(plus[1:]))
+
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_round_trip_against_placements(self, n):
         rng = random.Random(100 + n)
@@ -157,6 +175,25 @@ class TestRecoverSpec:
             d_sq = polygon_distances_sq_exact(n, R, L)
             pair = recover_spec_from_distances(n, d_sq)
             assert (R * R, L * L) in tuple(pair)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_recovery_and_area_conditions_read_the_same_windows(self, n):
+        rng = random.Random(400 + n)
+        for _ in range(30):
+            R = Fraction(rng.randint(1, 30), rng.randint(1, 15))
+            L = Fraction(rng.randint(0, 30), rng.randint(1, 15))
+            d_sq = polygon_distances_sq_exact(n, R, L)
+            assert (R * R, L * L) in tuple(recover_spec_from_distances(n, d_sq))
+            assert necessary_condition_areas(n, d_sq).equal
+
+    def test_perturbed_square_fails_both_window_readers(self):
+        # (R, L) = (2, 1) gives (1, 5, 9, 5); with d4^2 = 17 each window still
+        # has a rational area, but the second reads (R^2, L^2) = (10, 1)
+        d_sq = polygon_distances_sq_exact(4, Fraction(2), Fraction(1))
+        perturbed = (*d_sq[:3], d_sq[3] + 12)
+        with pytest.raises(InconsistentDistancesError):
+            recover_spec_from_distances(4, perturbed)
+        assert not necessary_condition_areas(4, perturbed).equal
 
 
 class TestPairAndSubsetIdentities:

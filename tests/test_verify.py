@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclicavg import verify
+from cyclicavg import ratdist, verify
 from cyclicavg.verify import SCOPES, run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,8 +108,8 @@ def test_nan_residual_fails_its_row(monkeypatch):
 
 def test_failed_certificate_reports_a_miss(monkeypatch):
     # an exact row that misses shows the checks before the miss and inf
-    real = verify.certify_no_small_factor
-    monkeypatch.setattr(verify, "certify_no_small_factor",
+    real = ratdist.certify_no_small_factor
+    monkeypatch.setattr(ratdist, "certify_no_small_factor",
                         lambda *a, **k: dataclasses.replace(real(*a, **k), certified=False))
     row = verify.sweep_octic(0)[-1]
     assert (row.checks, row.max_rel, row.passed) == (0, math.inf, False)
