@@ -74,9 +74,8 @@ from .relations import (
     recover_spec_from_distances,
     solve_distances,
     square_sixth_factorization_residual,
-    square_symmetric_residual,
     subset_sum_residuals,
-    triangle_symmetric_residual,
+    symmetric_residual,
 )
 from .solids import (
     antipodal_pair_sums,

@@ -22,6 +22,7 @@ from .geometry import (
     SolidKind,
     SolidSpec,
     SpacePlacement,
+    _TRACE,
 )
 from .polygon import (
     cyclic_average,
@@ -84,6 +85,8 @@ def build_parser() -> _Parser:
                         help="regular polygon with N vertices")
     figure.add_argument("--solid", type=str, metavar="KIND",
                         help="|".join(kind.value for kind in SolidKind))
+    figure.add_argument("--R", help="circumradius")
+    figure.add_argument("--c", help="solid coordinate scale (alternative to --R)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,8 +98,6 @@ def build_parser() -> _Parser:
 
     p = command("eval", _cmd_eval, parents=[common, figure],
                 help="closed-form sum of d^(2m) over all vertices")
-    p.add_argument("--R", help="circumradius")
-    p.add_argument("--c", help="solid coordinate scale (alternative to --R)")
     p.add_argument("--L", required=True, help="distance from the centroid")
     p.add_argument("--m", type=int, required=True, help="power index (sum of d^(2m))")
     p.add_argument("--average", action="store_true",
@@ -104,8 +105,6 @@ def build_parser() -> _Parser:
 
     p = command("oracle", _cmd_oracle, parents=[common, figure],
                 help="brute-force sum of d^(2m) at a concrete placement")
-    p.add_argument("--R", help="circumradius")
-    p.add_argument("--c", help="solid coordinate scale (alternative to --R)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--L", help="polygon: distance from the centroid")
     p.add_argument("--alpha", default="0", help="polygon: polar angle (radians)")
@@ -116,20 +115,19 @@ def build_parser() -> _Parser:
 
     p = command("locus", _cmd_locus, parents=[common, figure],
                 help="classify the locus of sum d^(2m) = C")
-    p.add_argument("--R", required=True, help="circumradius")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--C", required=True, help="the constant sum")
 
     p = command("solve", _cmd_solve, parents=[common],
                 help="distance system branches from (R, L, d1^2), n in {3,4,6}")
-    p.add_argument("--polygon", type=int, required=True, choices=(3, 4, 6))
+    p.add_argument("--polygon", type=int, required=True, choices=tuple(_TRACE))
     p.add_argument("--R", required=True)
     p.add_argument("--L", required=True)
     p.add_argument("--d1sq", required=True, help="squared first distance")
 
     p = command("recover", _cmd_recover, parents=[common],
                 help="recover {R^2, L^2} from averages or distances")
-    p.add_argument("--polygon", type=int, choices=(3, 4, 6),
+    p.add_argument("--polygon", type=int, choices=tuple(_TRACE),
                    help="recover from a squared-distance list (needs --dsq)")
     p.add_argument("--dsq", help="comma-separated squared distances d1^2,d2^2,...")
     p.add_argument("--s2", help="second-power cyclic average")
@@ -173,7 +171,7 @@ def _figure(args, parser: _Parser, exact: bool):
         R = _parse_number(args.R, exact) if args.R is not None else (Fraction(1) if exact else 1.0)
         return PolygonSpec(args.polygon, R)
     kind = SolidKind.parse(args.solid)
-    if getattr(args, "c", None) is not None:
+    if args.c is not None:
         return SolidSpec(kind, _parse_number(args.c, exact))
     if args.R is not None:
         if exact:

@@ -190,14 +190,15 @@ def polygon_distances_sq(spec: PolygonSpec, p: PlanePlacement) -> tuple[float, .
     return tuple([a - b * math.cos(p.alpha - k * 2.0 * math.pi / n) for k in range(n)])
 
 
-_SIDE_SQ_FACTOR = {3: Fraction(3), 4: Fraction(2), 6: Fraction(1)}
+# n -> the trace 2 cos(2 pi/n) of the rotation by one vertex, an integer
+# exactly for these n (the crystallographic restriction).
+_TRACE = {3: -1, 4: 0, 6: 1}
 
 
 def polygon_side_sq(n: int, R_sq: Scalar) -> Scalar:
-    """Squared side a^2 = 4 R^2 sin^2(pi/n); exact for n in {3, 4, 6}."""
-    factor = _SIDE_SQ_FACTOR.get(n)
-    if factor is not None:
-        return factor * R_sq
+    """Squared side a^2 = 4 R^2 sin^2(pi/n) = (2 - trace) R^2; exact for n in _TRACE."""
+    if n in _TRACE:
+        return Fraction(2 - _TRACE[n]) * R_sq
     return 4.0 * float(R_sq) * math.sin(math.pi / n) ** 2
 
 

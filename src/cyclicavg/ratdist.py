@@ -107,7 +107,7 @@ def necessary_condition_areas(n: int, d_sq: Sequence[Scalar]) -> AreaConditionRe
     """
     try:
         d = [Fraction(x) for x in d_sq]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NonRationalInputError("squared distances must be rational") from exc
     if n not in (4, 6):
         raise NonRationalInputError("area conditions exist for n = 4 and n = 6")

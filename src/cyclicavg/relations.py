@@ -1,10 +1,10 @@
 """Identities and solvers tied to specific vertex counts.
 
-Everything here is stated in squared distances: the triangle/square
-"symmetric" identities, the explicit two-branch distance solvers for
-n = 3, 4, 6, the inverse problem (R^2, L^2 from a measured multiset), and
-the divisor-subset identities that composite n-gons inherit from the regular
-sub-polygon spanned by every (n/q)-th vertex.
+Everything here is stated in squared distances: the "symmetric" identity
+and the two-branch rotation solver for the n whose trace 2 cos(2 pi/n) is
+an integer (3, 4, 6), the inverse problem (R^2, L^2 from a measured
+multiset), and the divisor-subset identities that composite n-gons inherit
+from the regular sub-polygon spanned by every (n/q)-th vertex.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import (
     UnattainableError,
 )
 from .fields import Scalar, is_exact, sqrt_scalar
-from .geometry import heron_area_16sq
-from .polygon import power_sum_closed_sq
+from .geometry import _TRACE, heron_area_16sq
+from .polygon import _finite, power_sum_closed_sq
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -42,6 +42,7 @@ class BranchPair:
 def _branch_sqrt(x: Scalar, scale: Scalar, error: type[Exception]) -> Scalar:
     """sqrt of a solver discriminant; clamps float noise just below zero."""
     if isinstance(x, float):
+        _finite(x, "need finite inputs whose squares fit a float, or the exact backend")
         if x < 0:
             if x > -1e-9 * max(1.0, float(scale)):
                 return 0.0
@@ -52,59 +53,47 @@ def _branch_sqrt(x: Scalar, scale: Scalar, error: type[Exception]) -> Scalar:
     return sqrt_scalar(x)
 
 
-def triangle_symmetric_residual(d_sq: Sequence[Scalar], side_sq: Scalar) -> Scalar:
-    """3(d1^4 + d2^4 + d3^4 + a^4) - (d1^2 + d2^2 + d3^2 + a^2)^2.
+def symmetric_residual(d_sq: Sequence[Scalar], side_sq: Scalar) -> Scalar:
+    """n(sum d^4 + (3n/f^2) a^4) - (sum d^2 + (n/f) a^2)^2, n = len(d_sq).
 
-    Zero exactly when the three distances and the side belong to one point in
-    the plane of an equilateral triangle.
+    a^2 = f R^2 with f = 2 - trace, so (3n/f^2, n/f) is (1, 1), (3, 2) or
+    (18, 6).  Zero exactly when the distances and the side a belong to one
+    point in the plane of a regular n-gon, n in {3, 4, 6}.
     """
-    if len(d_sq) != 3:
-        raise OutOfRangeError("triangle identity needs 3 squared distances")
-    quartic = sum(d * d for d in d_sq) + side_sq * side_sq
-    quadratic = sum(d_sq) + side_sq
-    return 3 * quartic - quadratic * quadratic
-
-
-def square_symmetric_residual(d_sq: Sequence[Scalar], side_sq: Scalar) -> Scalar:
-    """4(sum d^4 + 3 a^4) - (sum d^2 + 2 a^2)^2, the square analogue."""
-    if len(d_sq) != 4:
-        raise OutOfRangeError("square identity needs 4 squared distances")
-    quartic = sum(d * d for d in d_sq) + 3 * side_sq * side_sq
-    quadratic = sum(d_sq) + 2 * side_sq
-    return 4 * quartic - quadratic * quadratic
+    n = len(d_sq)
+    if n not in _TRACE:
+        raise OutOfRangeError("symmetric identities need 3, 4 or 6 squared distances")
+    f = 2 - _TRACE[n]
+    quartic = sum(d * d for d in d_sq) + (3 * n // (f * f)) * side_sq * side_sq
+    quadratic = sum(d_sq) + (n // f) * side_sq
+    return n * quartic - quadratic * quadratic
 
 
 def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
     """Full squared-distance multisets from (R, L, d1^2), for n in {3, 4, 6}.
 
-    Both sign branches are returned; they are the two mirror placements of
-    the evaluation point across the axis through vertex 1, so the minus
-    branch lists d2..dn in reverse.  Needs R > 0, L >= 0 and d1^2 in
-    [(R-L)^2, (R+L)^2], otherwise no placement attains it.
+    d_{k+1}^2 = ((2 - c_k) A + c_k d1^2 +- s_k sqrt((4 - c_1^2) h16)) / 2 with
+    A = R^2 + L^2, h16 = heron_area_16sq(R^2, L^2, d1^2), c_k = 2 cos(2 pi k/n)
+    and s_k = sin(2 pi k/n) / sin(2 pi/n): integers obeying x_{k+1} = c_1 x_k
+    - x_{k-1}.  The two sign branches are the mirror placements across the
+    axis through vertex 1, so the minus branch lists d2..dn in reverse.
+    Needs finite R > 0, L >= 0 and d1^2 in [(R-L)^2, (R+L)^2].
     """
-    if not (R > 0 and L >= 0):
-        raise OutOfRangeError(f"need R > 0 and L >= 0, got R = {R}, L = {L}")
-    r_sq = R * R
-    l_sq = L * L
-    a = r_sq + l_sq
-    h16 = heron_area_16sq(r_sq, l_sq, d1_sq)
-    if n == 3:
-        # d2^2, d3^2 = (3A - d1^2 +- 4 sqrt(3) area(R, L, d1)) / 2
-        t = _branch_sqrt(3 * h16, a * a, UnattainableError)
-        plus = (d1_sq, _HALF * (3 * a - d1_sq + t), _HALF * (3 * a - d1_sq - t))
-    elif n == 4:
-        # d2^2, d4^2 = A +- 4 area;  d3^2 = 2A - d1^2
-        t = _branch_sqrt(h16, a * a, UnattainableError)
-        plus = (d1_sq, a + t, 2 * a - d1_sq, a - t)
-    elif n == 6:
-        # d2^2, d6^2 = (A + d1^2 +- 4 sqrt(3) area)/2
-        # d3^2, d5^2 = (3A - d1^2 +- 4 sqrt(3) area)/2;  d4^2 = 2A - d1^2
-        t = _branch_sqrt(3 * h16, a * a, UnattainableError)
-        plus = (d1_sq, _HALF * (a + d1_sq + t), _HALF * (3 * a - d1_sq + t),
-                2 * a - d1_sq, _HALF * (3 * a - d1_sq - t), _HALF * (a + d1_sq - t))
-    else:
+    if not (0 < R < math.inf and 0 <= L < math.inf):
+        raise OutOfRangeError(f"need R > 0 and L >= 0, both finite, got R = {R}, L = {L}")
+    if n not in _TRACE:
         raise OutOfRangeError("explicit distance solvers exist for n in {3, 4, 6} only")
-    return BranchPair(plus, (plus[0], *reversed(plus[1:])))
+    trace = _TRACE[n]
+    a = R * R + L * L
+    h16 = heron_area_16sq(R * R, L * L, d1_sq)
+    t = _branch_sqrt((4 - trace * trace) * h16, a * a, UnattainableError)
+    plus = [d1_sq]
+    c_prev, c, s_prev, s = 2, trace, 0, 1
+    for _ in range(n - 1):
+        plus.append(_HALF * ((2 - c) * a + c * d1_sq + s * t))
+        c_prev, c = c, trace * c - c_prev
+        s_prev, s = s, trace * s - s_prev
+    return BranchPair(tuple(plus), (d1_sq, *reversed(plus[1:])))
 
 
 # n -> (factor on the middle squared side, weight on 16 area^2, index windows):

@@ -23,6 +23,7 @@ from .geometry import (
     SolidKind,
     SolidSpec,
     SpacePlacement,
+    _TRACE,
     polygon_distances_sq,
     polygon_side_sq,
     solid_distances_sq,
@@ -41,9 +42,8 @@ from .relations import (
     recover_spec_from_distances,
     solve_distances,
     square_sixth_factorization_residual,
-    square_symmetric_residual,
     subset_sum_residuals,
-    triangle_symmetric_residual,
+    symmetric_residual,
 )
 from .solids import (
     antipodal_pair_sums,
@@ -233,7 +233,7 @@ def _best_pair(pairs, r_sq: float, l_sq: float) -> float:
 
 def sweep_solver_round_trips(seed: int) -> list[SweepRow]:
     rows = []
-    for n in (3, 4, 6):
+    for n in _TRACE:
         rng = _rng(seed, f"solver-{n}")
         solved = []
         recovered = []
@@ -252,10 +252,10 @@ _IDENTITIES = (
     ("sum of squared distances = n(R^2 + L^2)", 7,
      lambda R, L, d: rel_err(math.fsum(d), 7 * (R * R + L * L))),
     ("triangle symmetric fourth-power identity", 3,
-     lambda R, L, d: abs(triangle_symmetric_residual(d, polygon_side_sq(3, R * R)))
+     lambda R, L, d: abs(symmetric_residual(d, polygon_side_sq(3, R * R)))
      / (sum(d) + 3 * R * R) ** 2),
     ("square symmetric fourth-power identity", 4,
-     lambda R, L, d: abs(square_symmetric_residual(d, polygon_side_sq(4, R * R)))
+     lambda R, L, d: abs(symmetric_residual(d, polygon_side_sq(4, R * R)))
      / (sum(d) + 2 * 2 * R * R) ** 2),
     ("opposite-vertex pair sums are constant", 10,
      lambda R, L, d: _spread(opposite_pair_sums(d)) / (2 * (R * R + L * L))),

@@ -40,9 +40,8 @@ from cyclicavg.relations import (
     recover_spec_from_distances,
     solve_distances,
     square_sixth_factorization_residual,
-    square_symmetric_residual,
     subset_sum_residuals,
-    triangle_symmetric_residual,
+    symmetric_residual,
 )
 from cyclicavg.solids import (
     antipodal_pair_sums,
@@ -190,13 +189,13 @@ def test_criterion_05_identity_residual_suite():
         side_sq = polygon_side_sq(3, R * R)
         worst["triangle symmetric"] = max(
             worst.get("triangle symmetric", 0.0),
-            abs(triangle_symmetric_residual(d, side_sq))
+            abs(symmetric_residual(d, side_sq))
             / (sum(d) + side_sq) ** 2)
         R, L, d = sample(4)
         side_sq = polygon_side_sq(4, R * R)
         worst["square symmetric"] = max(
             worst.get("square symmetric", 0.0),
-            abs(square_symmetric_residual(d, side_sq)) / (sum(d) + 2 * side_sq) ** 2)
+            abs(symmetric_residual(d, side_sq)) / (sum(d) + 2 * side_sq) ** 2)
         worst["sixth factorization"] = max(
             worst.get("sixth factorization", 0.0),
             abs(square_sixth_factorization_residual(d)) / (sum(d) ** 3))

@@ -166,6 +166,12 @@ class TestLocus:
         assert code == 0
         assert out.strip() == "empty"
 
+    def test_exact_solid_takes_the_coordinate_scale(self, capsys):
+        code, out, _ = run_cli(capsys, "locus", "--solid", "cube", "--c", "1",
+                               "--m", "2", "--C", "520", "--backend", "exact")
+        assert code == 0
+        assert out.strip() == "sphere L=2"
+
 
 
 class TestFloatOverflow:
@@ -222,6 +228,16 @@ class TestSolveRecover:
                                  f"--L={L}", "--d1sq", "1")
         assert (code, out) == (2, "")
         assert "need R > 0 and L >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--polygon", "3", "--R", "1e200", "--L", "1", "--d1sq", "1"),
+        ("solve", "--polygon", "4", "--R", "1", "--L", "1", "--d1sq", "1e300"),
+        ("recover", "--polygon", "3", "--dsq", "1e300,1e300,1e300"),
+        ("recover", "--polygon", "6", "--dsq", "1,1,1,1,1,1e200")])
+    def test_overflow_is_refused_not_nan(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "overflows" in err
 
     def test_recover_distances(self, capsys):
         code, out, _ = run_cli(capsys, "recover", "--polygon", "3",

@@ -9,6 +9,7 @@ from cyclicavg.errors import OutOfRangeError
 from cyclicavg.fields import GOLDEN_RATIO, Surd
 from cyclicavg.polygon import polygon_distances_sq_exact
 from cyclicavg.geometry import (
+    _TRACE,
     PlanePlacement,
     PolygonSpec,
     SolidKind,
@@ -108,6 +109,15 @@ def test_polygon_side_sq():
     assert polygon_side_sq(4, Fraction(9, 4)) == Fraction(9, 2)
     assert polygon_side_sq(6, Fraction(4)) == 4
     assert polygon_side_sq(5, 1.0) == pytest.approx(4 * math.sin(math.pi / 5) ** 2)
+
+
+def test_trace_table_holds_every_integer_trace():
+    # 2 cos(2 pi/n) is an integer exactly for n = 3, 4, 6 (crystallographic restriction)
+    for n in range(3, 65):
+        trace = 2 * math.cos(2 * math.pi / n)
+        assert (abs(trace - round(trace)) < 1e-9) == (n in _TRACE)
+        if n in _TRACE:
+            assert round(trace) == _TRACE[n]
 
 
 class TestSolidVertices:

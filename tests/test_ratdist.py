@@ -155,6 +155,11 @@ class TestNecessaryConditions:
         with pytest.raises(NonRationalInputError):
             necessary_condition_areas(4, ["x", 1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_input_is_not_rational(self, bad):
+        with pytest.raises(NonRationalInputError):
+            necessary_condition_areas(4, [1, 5, 9, bad])
+
 
 class TestReport:
     def test_full_pipeline(self):

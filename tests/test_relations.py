@@ -10,12 +10,14 @@ from cyclicavg.errors import (
     UnattainableError,
 )
 from cyclicavg.geometry import (
+    _TRACE,
     PlanePlacement,
     PolygonSpec,
     heron_area_16sq,
     polygon_distances_sq,
     polygon_side_sq,
 )
+from cyclicavg import relations
 from cyclicavg.polygon import polygon_distances_sq_exact
 from cyclicavg.ratdist import necessary_condition_areas
 from cyclicavg.relations import (
@@ -23,9 +25,8 @@ from cyclicavg.relations import (
     recover_spec_from_distances,
     solve_distances,
     square_sixth_factorization_residual,
-    square_symmetric_residual,
     subset_sum_residuals,
-    triangle_symmetric_residual,
+    symmetric_residual,
 )
 
 
@@ -42,18 +43,27 @@ def _multisets_close(a, b, tol=1e-9):
 
 class TestSymmetricIdentities:
     def test_triangle_reference_values(self):
-        assert triangle_symmetric_residual((1, 1, 1), 3) == 0          # centroid
-        assert triangle_symmetric_residual((0, 3, 3), 3) == 0          # on a vertex
-        assert triangle_symmetric_residual((1, 1, 1), 1) == -4         # inconsistent
+        assert symmetric_residual((1, 1, 1), 3) == 0          # centroid
+        assert symmetric_residual((0, 3, 3), 3) == 0          # on a vertex
+        assert symmetric_residual((1, 1, 1), 1) == -4         # inconsistent
 
     def test_square_reference_values(self):
-        assert square_symmetric_residual((1, 1, 1, 1), 2) == 0         # centroid
-        assert square_symmetric_residual((1, 5, 9, 5), 2) == 0
-        assert square_symmetric_residual((1, 1, 1, 1), 1) == -8        # inconsistent
+        assert symmetric_residual((1, 1, 1, 1), 2) == 0         # centroid
+        assert symmetric_residual((1, 5, 9, 5), 2) == 0
+        assert symmetric_residual((1, 1, 1, 1), 1) == -8        # inconsistent
 
-    @pytest.mark.parametrize("n,fn", [(3, triangle_symmetric_residual),
-                                      (4, square_symmetric_residual)])
-    def test_vanishes_for_all_placements(self, n, fn):
+    def test_hexagon_reference_values(self):
+        assert symmetric_residual((1,) * 6, 1) == 0             # centroid
+        assert symmetric_residual((0, 1, 3, 4, 3, 1), 1) == 0   # on a vertex
+        assert symmetric_residual((1, 1, 1, 1, 1, 2), 1) == -7  # inconsistent
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 7, 8, 12])
+    def test_other_lengths_are_refused(self, length):
+        with pytest.raises(OutOfRangeError):
+            symmetric_residual((1.0,) * length, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_vanishes_for_all_placements(self, n):
         rng = random.Random(21)
         for _ in range(200):
             R = rng.uniform(0.2, 4.0)
@@ -62,14 +72,24 @@ class TestSymmetricIdentities:
                                         PlanePlacement(L, rng.uniform(0, 7)))
             side_sq = polygon_side_sq(n, R * R)
             scale = (sum(d_sq) + 3 * side_sq) ** 2
-            assert abs(fn(d_sq, side_sq)) < 1e-7 * scale
+            assert abs(symmetric_residual(d_sq, side_sq)) < 1e-7 * scale
 
     def test_exact_for_exact_placements(self):
         R, L = Fraction(5, 3), Fraction(1, 2)
-        d3 = polygon_distances_sq_exact(3, R, L)
-        assert triangle_symmetric_residual(d3, polygon_side_sq(3, R * R)) == 0
-        d4 = polygon_distances_sq_exact(4, R, L)
-        assert square_symmetric_residual(d4, polygon_side_sq(4, R * R)) == 0
+        for n in (3, 4, 6):
+            d_sq = polygon_distances_sq_exact(n, R, L)
+            assert symmetric_residual(d_sq, polygon_side_sq(n, R * R)) == 0
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_exact_zero_off_the_symmetry_axes(self, n):
+        # cos(theta) = (w u^2 - 4)/(w u^2 + 4) with w = 4 - c1^2 makes w sin^2(theta)
+        # a rational square, so d1^2 = A - 2RL cos(theta) has rational branches
+        R, L = Fraction(5, 3), Fraction(1, 2)
+        for u in (Fraction(1, 3), Fraction(3, 2), Fraction(-5, 7)):
+            w = 4 - _TRACE[n] ** 2
+            cos = (w * u * u - 4) / (w * u * u + 4)
+            for branch in solve_distances(n, R, L, R * R + L * L - 2 * R * L * cos):
+                assert symmetric_residual(branch, polygon_side_sq(n, R * R)) == 0
 
 
 class TestSolveDistances:
@@ -114,6 +134,26 @@ class TestSolveDistances:
         assert minus == (plus[0], *reversed(plus[1:]))
 
     @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_a_branch_is_the_exact_placement(self, n):
+        # every turn of a 12-cycle whose squared distances are all rational
+        for R, L in ((Fraction(5, 3), Fraction(1, 2)), (Fraction(2), Fraction(7, 4)),
+                     (Fraction(1), Fraction(1)), (Fraction(3, 7), Fraction(0))):
+            for offset in range(12):
+                try:
+                    d_sq = polygon_distances_sq_exact(n, R, L, 12, offset)
+                except OutOfRangeError:
+                    continue
+                assert d_sq in tuple(solve_distances(n, R, L, d_sq[0]))
+
+    @pytest.mark.parametrize("R, L, d1_sq", [
+        (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf),
+        (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1e200, 1.0, 1.0)])
+    def test_refuses_nonfinite_input_and_overflow(self, R, L, d1_sq):
+        for n in (3, 4, 6):
+            with pytest.raises(OutOfRangeError):
+                solve_distances(n, R, L, d1_sq)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_round_trip_against_placements(self, n):
         rng = random.Random(100 + n)
         for _ in range(100):
@@ -131,6 +171,18 @@ class TestSolveDistances:
 
 
 class TestRecoverSpec:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_refuses_nonfinite_input_and_overflow(self, n, bad):
+        for i in range(n):
+            d_sq = [1.0] * n
+            d_sq[i] = bad
+            with pytest.raises(OutOfRangeError):
+                recover_spec_from_distances(n, d_sq)
+
+    def test_windows_cover_the_trace_table(self):
+        assert relations._WINDOWS.keys() == _TRACE.keys()
+
     def test_reference_values(self):
         pair = recover_spec_from_distances(3, (Fraction(1), Fraction(7), Fraction(7)))
         assert pair.plus == (4, 1)
