@@ -62,15 +62,16 @@ def _parse_number(text: str, exact: bool) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, Surd):
-        if x.is_rational:
-            return format_scalar(x.a)
-        return f"{x.a} + {x.b}*√5"
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.12g}"
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    if isinstance(x, Surd) and x.is_rational:
+        x = x.a
+    try:  # Fraction and int print as "p/q" and "p"
+        return f"{x.a} + {x.b}*√5" if isinstance(x, Surd) else str(x)
+    except ValueError:  # an integer past the interpreter's int-to-str digit limit
+        raise OutOfRangeError(
+            f"the exact result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, too long to print; use the float backend")
 
 
 def build_parser() -> _Parser:
@@ -85,8 +86,10 @@ def build_parser() -> _Parser:
                         help="regular polygon with N vertices")
     figure.add_argument("--solid", type=str, metavar="KIND",
                         help="|".join(kind.value for kind in SolidKind))
-    figure.add_argument("--R", help="circumradius")
-    figure.add_argument("--c", help="solid coordinate scale (alternative to --R)")
+    scale = figure.add_mutually_exclusive_group()
+    scale.add_argument("--R", help="circumradius")
+    scale.add_argument("--c", metavar="SCALE",
+                       help="solid coordinate scale (alternative to --R)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -107,7 +110,7 @@ def build_parser() -> _Parser:
                 help="brute-force sum of d^(2m) at a concrete placement")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--L", help="polygon: distance from the centroid")
-    p.add_argument("--alpha", default="0", help="polygon: polar angle (radians)")
+    p.add_argument("--alpha", help="polygon: polar angle (radians, default 0)")
     p.add_argument("--degrees", action="store_true", help="read --alpha in degrees")
     p.add_argument("--x", help="solid: placement x")
     p.add_argument("--y", help="solid: placement y")
@@ -158,6 +161,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _refuse_given(args, parser: _Parser, names: tuple[str, ...], context: str) -> None:
+    given = [f"--{name}" for name in names if getattr(args, name) not in (None, False)]
+    if given:
+        parser.error(f"{', '.join(given)} cannot be used with {context}")
+
+
 def _check_polygon(n: int, parser: _Parser) -> None:
     if not 3 <= n <= MAX_CLI_VERTICES:
         parser.error(f"--polygon must be in 3..{MAX_CLI_VERTICES}")
@@ -168,6 +177,7 @@ def _figure(args, parser: _Parser, exact: bool):
         parser.error("exactly one of --polygon/--solid is required")
     if args.polygon is not None:
         _check_polygon(args.polygon, parser)
+        _refuse_given(args, parser, ("c",), "--polygon")
         R = _parse_number(args.R, exact) if args.R is not None else (Fraction(1) if exact else 1.0)
         return PolygonSpec(args.polygon, R)
     kind = SolidKind.parse(args.solid)
@@ -197,9 +207,10 @@ def _cmd_oracle(args, parser: _Parser) -> int:
     exact = args.backend == "exact"
     fig = _figure(args, parser, exact)
     if isinstance(fig, PolygonSpec):
+        _refuse_given(args, parser, ("x", "y", "z"), "--polygon")
         if args.L is None:
             parser.error("polygon oracle needs --L")
-        alpha = float(_parse_number(args.alpha, False))
+        alpha = float(_parse_number("0" if args.alpha is None else args.alpha, False))
         if args.degrees:
             alpha = math.radians(alpha)
         if exact:
@@ -213,6 +224,7 @@ def _cmd_oracle(args, parser: _Parser) -> int:
                                     PlanePlacement(float(_parse_number(args.L, False)),
                                                    alpha))
     else:
+        _refuse_given(args, parser, ("L", "alpha", "degrees"), "--solid")
         if args.x is None or args.y is None or args.z is None:
             parser.error("solid oracle needs --x --y --z")
         p = SpacePlacement(*(_parse_number(t, exact) for t in (args.x, args.y, args.z)))
@@ -241,13 +253,14 @@ def _cmd_solve(args, parser: _Parser) -> int:
 
 def _cmd_recover(args, parser: _Parser) -> int:
     exact = args.backend == "exact"
-    if args.dsq:
-        if not args.polygon:
+    if args.dsq is not None:
+        _refuse_given(args, parser, ("s2", "s4", "space"), "--dsq")
+        if args.polygon is None:
             parser.error("--dsq recovery needs --polygon {3,4,6}")
         d_sq = tuple(_parse_number(t, exact) for t in args.dsq.split(","))
         pair = recover_spec_from_distances(args.polygon, d_sq)
         branches = (pair.plus, pair.minus)
-    elif args.s2 and args.s4:
+    elif args.s2 is not None and args.s4 is not None:
         recover = recover_r2_l2_solid if args.space else recover_r2_l2
         hi, lo = recover(_parse_number(args.s2, exact), _parse_number(args.s4, exact))
         branches = ((hi, lo), (lo, hi))

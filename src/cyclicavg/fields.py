@@ -65,6 +65,15 @@ def exact_sqrt(x: Rational) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def describe(x: Scalar) -> str:
+    """str(x) for an error message, or its type when an exact x holds an
+    integer past the interpreter's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a {type(x).__name__} too long to print"
+
+
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, Surd))
 
@@ -243,12 +252,12 @@ def sqrt_scalar(x: Scalar) -> Scalar:
     if isinstance(x, (int, Fraction)):
         r = exact_sqrt(x)
         if r is None:
-            raise InexactSqrtError(f"sqrt({x}) is irrational; use the float backend")
+            raise InexactSqrtError(f"sqrt({describe(x)}) is irrational; use the float backend")
         return r
     if isinstance(x, Surd):
         r = x.sqrt()
         if r is None:
-            raise InexactSqrtError(f"sqrt({x!r}) does not lie in the same field")
+            raise InexactSqrtError(f"sqrt({describe(x)}) does not lie in the same field")
         return r
     return math.sqrt(x)
 

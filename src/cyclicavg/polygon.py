@@ -28,7 +28,7 @@ from .errors import (
     NonRationalInputError,
     OutOfRangeError,
 )
-from .fields import Rational, Scalar, is_exact, sqrt_scalar
+from .fields import Rational, Scalar, describe, is_exact, sqrt_scalar
 from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq, sum_basis
 from .intpoly import cyclotomic, divmod_monic
 
@@ -249,6 +249,8 @@ def _radius_sq(q: tuple[Rational, ...], n: int, r: float, C: float) -> float:
     """
     m = len(q) - 1
     w = (C / n) ** (1.0 / m)
+    if w == 0.0:
+        raise OutOfRangeError("the locus radius underflows a float; use larger inputs")
     b = [qj * (r / w) ** (m - j) for j, qj in enumerate(q)]
     s = min((bj ** (-1.0 / j) for j, bj in enumerate(b) if j and bj > 1.0), default=1.0)
     b[0] -= 1.0
@@ -309,17 +311,22 @@ def locus_classify(spec: Figure, m: int, C: Scalar) -> Locus:
 # conversions between averages and (R^2, L^2)
 
 
-def _nonnegative(x: Scalar, s2: Scalar, refuse: Callable[[Scalar], Exception]) -> Scalar:
-    """x, which genuine data keep >= 0; exact inputs get no tolerance.
+def _nonnegative(x: Scalar, scale: Scalar, refuse: Callable[[Scalar], Exception]) -> Scalar:
+    """x, which genuine data keep >= 0; the one float allowance.
 
-    Floats may round x below zero: down to -1e-12 S2^2 it reads as 0, and
-    below that ``refuse(x)`` is raised.
+    A float x down to -1e-12 scale^2 reads as 0, and below that
+    ``refuse(x)`` is raised; exact inputs get none.
     """
     if not x < 0:
         return x
-    if is_exact(x) or x < -1e-12 * s2 * s2:
+    if is_exact(x) or x < -1e-12 * scale * scale:
         raise refuse(x)
     return 0.0
+
+
+def _root(x: Scalar, scale: Scalar, refuse: Callable[[Scalar], Exception]) -> Scalar:
+    """sqrt of a discriminant x of size scale^2 (see _nonnegative)."""
+    return sqrt_scalar(_nonnegative(_finite(x), scale, refuse))
 
 
 def _s4_gap(s2: Scalar, s4: Scalar) -> Scalar:
@@ -337,10 +344,9 @@ def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     if not s2 > 0:
         raise InvalidAverageError("S2 must be positive")
     _s4_gap(s2, s4)  # (4/dim) R^2 L^2, refused when negative
-    disc = _nonnegative((dim + 1) * s2 * s2 - dim * s4, s2, lambda disc: (
-        NegativeDiscriminantError(f"{dim + 1}*S2^2 - {dim}*S4 = {disc} < 0: "
+    root = _root((dim + 1) * s2 * s2 - dim * s4, s2, lambda disc: (
+        NegativeDiscriminantError(f"{dim + 1}*S2^2 - {dim}*S4 = {describe(disc)} < 0: "
                                   "no real (R^2, L^2) exists")))
-    root = sqrt_scalar(_finite(disc))
     low = _HALF * (s2 - root)  # a float may round below 0 at the centre
     return (_HALF * (s2 + root), max(low, 0.0) if isinstance(low, float) else low)
 

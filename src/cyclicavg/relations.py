@@ -19,9 +19,9 @@ from .errors import (
     OutOfRangeError,
     UnattainableError,
 )
-from .fields import Scalar, is_exact, sqrt_scalar
+from .fields import Scalar, describe, is_exact
 from .geometry import _TRACE, heron_area_16sq
-from .polygon import _finite, power_sum_closed_sq
+from .polygon import _root, power_sum_closed_sq
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -37,20 +37,6 @@ class BranchPair:
 
     def __iter__(self):
         return iter((self.plus, self.minus))
-
-
-def _branch_sqrt(x: Scalar, scale: Scalar, error: type[Exception]) -> Scalar:
-    """sqrt of a solver discriminant; clamps float noise just below zero."""
-    if isinstance(x, float):
-        _finite(x, "need finite inputs whose squares fit a float, or the exact backend")
-        if x < 0:
-            if x > -1e-9 * max(1.0, float(scale)):
-                return 0.0
-            raise error(f"negative discriminant {x}")
-        return math.sqrt(x)
-    if x < 0:
-        raise error(f"negative discriminant {x}")
-    return sqrt_scalar(x)
 
 
 def symmetric_residual(d_sq: Sequence[Scalar], side_sq: Scalar) -> Scalar:
@@ -80,13 +66,15 @@ def solve_distances(n: int, R: Scalar, L: Scalar, d1_sq: Scalar) -> BranchPair:
     Needs finite R > 0, L >= 0 and d1^2 in [(R-L)^2, (R+L)^2].
     """
     if not (0 < R < math.inf and 0 <= L < math.inf):
-        raise OutOfRangeError(f"need R > 0 and L >= 0, both finite, got R = {R}, L = {L}")
+        raise OutOfRangeError("need R > 0 and L >= 0, both finite, "
+                              f"got R = {describe(R)}, L = {describe(L)}")
     if n not in _TRACE:
         raise OutOfRangeError("explicit distance solvers exist for n in {3, 4, 6} only")
     trace = _TRACE[n]
     a = R * R + L * L
     h16 = heron_area_16sq(R * R, L * L, d1_sq)
-    t = _branch_sqrt((4 - trace * trace) * h16, a * a, UnattainableError)
+    t = _root((4 - trace * trace) * h16, a,
+              lambda x: UnattainableError(f"negative discriminant {describe(x)}"))
     plus = [d1_sq]
     c_prev, c, s_prev, s = 2, trace, 0, 1
     for _ in range(n - 1):
@@ -127,7 +115,8 @@ def recover_spec_from_distances(n: int, d_sq: Sequence[Scalar]) -> BranchPair:
     pairs = []
     for window, h16 in _window_areas(n, d_sq):
         s = sum(window)
-        t = _branch_sqrt(h16, s * s, InconsistentDistancesError)
+        t = _root(h16, s, lambda x: InconsistentDistancesError(
+            f"negative discriminant {describe(x)}"))
         if n == 4:  # R^2, L^2 = (d1 + d3)/4 +- area(d1, sqrt2 d2, d3)
             base, area = _QUARTER * (window[0] + window[2]), t / 4
             pairs.append((base + area, base - area))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -22,6 +23,57 @@ def test_format_scalar():
     assert format_scalar(Surd(Fraction(1, 2), Fraction(3, 2))) == "1/2 + 3/2*√5"
     assert format_scalar(980.0) == "980"
     assert format_scalar(0.1234567890123456) == "0.123456789012"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("argv", [
+    ("eval", "--polygon", "3", "--R", "1", "--m", "1", "--L", "1e-2200"),
+    ("oracle", "--polygon", "12", "--R", "64", "--m", "7", "--L", "1e-320"),
+])
+def test_exact_result_past_the_digit_limit_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--backend", "exact")
+    assert (code, out) == (2, "")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "use the float backend" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--solid", "cube", "--R", "1", "--c", "2", "--L", "1", "--m", "1"),
+     "argument --c: not allowed with argument --R"),
+    (("eval", "--polygon", "4", "--c", "2", "--L", "1", "--m", "1"),
+     "--c cannot be used with --polygon"),
+    (("locus", "--polygon", "4", "--R", "1", "--c", "2", "--m", "1", "--C", "9"),
+     "argument --c: not allowed with argument --R"),
+    (("oracle", "--polygon", "4", "--R", "1", "--L", "1", "--m", "1", "--x", "3"),
+     "--x cannot be used with --polygon"),
+    (("oracle", "--solid", "cube", "--x", "1", "--y", "0", "--z", "0", "--m", "1",
+      "--L", "5", "--alpha", "3"), "--L, --alpha cannot be used with --solid"),
+    (("oracle", "--solid", "cube", "--x", "1", "--y", "0", "--z", "0", "--m", "1",
+      "--degrees"), "--degrees cannot be used with --solid"),
+    (("recover", "--polygon", "3", "--dsq", "1,7,7", "--s2", "5", "--s4", "33"),
+     "--s2, --s4 cannot be used with --dsq"),
+    (("recover", "--polygon", "3", "--dsq", "1,7,7", "--space"),
+     "--space cannot be used with --dsq"),
+    (("recover", "--polygon", "3", "--dsq=", "--s2", "5", "--s4", "33"),
+     "--s2, --s4 cannot be used with --dsq"),
+])
+def test_contradictory_options_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cyclicavg {argv[0]}")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "locus"])
+def test_help_tells_the_solid_scale_from_the_sum(capsys, command):
+    with pytest.raises(SystemExit):
+        run_cli(capsys, command, "--help")
+    out = capsys.readouterr().out
+    assert "[--R R | --c SCALE]" in out
+    assert "--c C" not in out
 
 
 class TestEval:

@@ -248,6 +248,37 @@ class TestRecoverSpec:
         assert not necessary_condition_areas(4, perturbed).equal
 
 
+class TestOneAllowanceAtEveryScale:
+    """The float allowance is relative to the data's scale, so a verdict on
+    the same figure does not depend on the unit of length."""
+
+    SCALES = [10.0 ** k for k in (-8, -4, -2, 0, 4, 8)]
+    # squared distances whose first index window has sides 1, 1, 3 (the
+    # square's window reads sqrt(2) d2), which span no triangle
+    NO_TRIANGLE = {3: (1, 1, 9), 4: (1, 0.5, 9, 1), 6: (1, 1, 1, 1, 9, 1)}
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_boundary_data_solve_and_recover(self, n, s):
+        R = 1.3 * s
+        for L in (0.0, 0.6 * R, R):
+            for alpha in (0.0, 1.0, math.pi):
+                d_sq = polygon_distances_sq(PolygonSpec(n, R), PlanePlacement(L, alpha))
+                tol = 1e-6 * (R * R + L * L)
+                assert any(max(abs(x - y) for x, y in zip(sorted(branch), sorted(d_sq))) < tol
+                           for branch in solve_distances(n, R, L, d_sq[0]))
+                assert any(abs(r2 - R * R) < tol and abs(l2 - L * L) < tol
+                           for r2, l2 in recover_spec_from_distances(n, d_sq))
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_off_boundary_data_is_refused(self, n, s):
+        with pytest.raises(UnattainableError):
+            solve_distances(n, s, s, 1.001 * (2 * s) ** 2)  # beyond (R+L)^2
+        with pytest.raises(InconsistentDistancesError):
+            recover_spec_from_distances(n, [x * s * s for x in self.NO_TRIANGLE[n]])
+
+
 class TestPairAndSubsetIdentities:
     def test_opposite_pairs_reference(self):
         assert opposite_pair_sums((1, 5, 9, 5)) == (10, 10)
