@@ -62,8 +62,9 @@ def _parse_number(text: str, exact: bool) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
+    if isinstance(x, float):  # the shortest decimal that reads back as x
+        text = repr(x)
+        return text[:-2] if text.endswith(".0") else text
     if isinstance(x, Surd) and x.is_rational:
         x = x.a
     try:  # Fraction and int print as "p/q" and "p"
@@ -261,6 +262,7 @@ def _cmd_recover(args, parser: _Parser) -> int:
         pair = recover_spec_from_distances(args.polygon, d_sq)
         branches = (pair.plus, pair.minus)
     elif args.s2 is not None and args.s4 is not None:
+        _refuse_given(args, parser, ("polygon",), "--s2/--s4")
         recover = recover_r2_l2_solid if args.space else recover_r2_l2
         hi, lo = recover(_parse_number(args.s2, exact), _parse_number(args.s4, exact))
         branches = ((hi, lo), (lo, hi))

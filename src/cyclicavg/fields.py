@@ -78,6 +78,38 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction, Surd))
 
 
+def _root5_product(x: tuple[_T, _T], y: tuple[_T, _T]) -> tuple[_T, _T]:
+    """(a + b sqrt 5)(c + d sqrt 5) on the pairs (a, b), (c, d) of any ring."""
+    (a, b), (c, d) = x, y
+    # b * d * 5: a Fraction times an int takes Fraction's faster, forward path
+    return a * c + b * d * 5, a * d + b * c
+
+
+def _operator_fallbacks(exact: Callable[["Surd", "Surd"], _T], fallback: Callable):
+    """Forward and reflected methods for one binary operator, built the way
+    ``fractions.Fraction`` builds its own.
+
+    An int or Fraction operand is lifted to a Surd and ``exact`` runs on the
+    pair in operand order; a float operand gives ``fallback`` on
+    ``float(self)`` in the same order; anything else is NotImplemented.
+    """
+    def forward(a, b):
+        if isinstance(b, Surd):
+            return exact(a, b)
+        if isinstance(b, (int, Fraction)):
+            return exact(a, Surd(b))
+        return fallback(float(a), b) if isinstance(b, float) else NotImplemented
+
+    def reverse(b, a):
+        if isinstance(a, (int, Fraction)):
+            return exact(Surd(a), b)
+        if isinstance(a, Surd):
+            return exact(a, b)
+        return fallback(a, float(b)) if isinstance(a, float) else NotImplemented
+
+    return forward, reverse
+
+
 class Surd:
     """Element ``a + b*sqrt(5)`` of Q(sqrt 5), the golden ratio's field.
 
@@ -92,66 +124,24 @@ class Surd:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
-    def _coerce(self, other: Scalar) -> "Surd":
-        if isinstance(other, Surd):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Surd(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _mixed(self, op: Callable, other: object, reflected: bool = False):
-        # only reached when _coerce declined, so the exact path pays nothing
-        if isinstance(other, float):
-            return op(other, float(self)) if reflected else op(float(self), other)
-        return NotImplemented
-
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: Scalar) -> "Surd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.add, other)
-        return Surd(self.a + o.a, self.b + o.b)
+    __add__, __radd__ = _operator_fallbacks(
+        lambda x, y: Surd(x.a + y.a, x.b + y.b), operator.add)
+    __sub__, __rsub__ = _operator_fallbacks(
+        lambda x, y: Surd(x.a - y.a, x.b - y.b), operator.sub)
+    __mul__, __rmul__ = _operator_fallbacks(
+        lambda x, y: Surd(*_root5_product((x.a, x.b), (y.a, y.b))), operator.mul)
 
-    __radd__ = __add__
+    def _div(x, y):
+        # y^-1 = (c - d sqrt 5) / (c^2 - 5 d^2); the norm is 0 only at y = 0
+        norm = y.a * y.a - y.b * y.b * 5
+        return x * Surd(y.a / norm, -y.b / norm)
 
-    def __sub__(self, other: Scalar) -> "Surd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.sub, other)
-        return Surd(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: Scalar) -> "Surd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.sub, other, reflected=True)
-        return Surd(o.a - self.a, o.b - self.b)
+    __truediv__, __rtruediv__ = _operator_fallbacks(_div, operator.truediv)
 
     def __neg__(self) -> "Surd":
         return Surd(-self.a, -self.b)
-
-    def __mul__(self, other: Scalar) -> "Surd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.mul, other)
-        return Surd(self.a * o.a + self.b * o.b * 5, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "Surd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.truediv, other)
-        if o.b == 0:
-            return Surd(self.a / o.a, self.b / o.a)
-        norm = o.a * o.a - o.b * o.b * 5
-        return self * Surd(o.a / norm, -o.b / norm)
-
-    def __rtruediv__(self, other: Scalar) -> "Surd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.truediv, other, reflected=True)
-        return o / self
 
     def __pow__(self, n: int) -> "Surd":
         if not isinstance(n, int) or n < 0:
@@ -160,11 +150,7 @@ class Surd:
 
     # -- structure -------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(operator.eq, other)
-        return self.a == o.a and self.b == o.b
+    __eq__ = _operator_fallbacks(lambda x, y: x.a == y.a and x.b == y.b, operator.eq)[0]
 
     def __hash__(self) -> int:
         if self.b == 0:
@@ -172,40 +158,16 @@ class Surd:
         return hash((self.a, self.b))
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(5)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against 5 b^2
-        lead = 1 if a > 0 else -1
-        diff = a * a - b * b * 5
-        if diff == 0:
-            return 0
-        return lead if diff > 0 else -lead
+        """Exact sign of a + b*sqrt(5): that of a when a^2 > 5 b^2, else that of b.
 
-    def _compare(self, other: Scalar, op: Callable[[int, int], bool]) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._mixed(op, other)
-        return op((self - o).sign(), 0)
+        a^2 = 5 b^2 only at zero, since sqrt(5) is irrational.
+        """
+        lead = self.a if self.a * self.a > self.b * self.b * 5 else self.b
+        return (lead > 0) - (lead < 0)
 
-    def __lt__(self, other: Scalar) -> bool:
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other: Scalar) -> bool:
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other: Scalar) -> bool:
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other: Scalar) -> bool:
-        return self._compare(other, operator.ge)
+    # x > y is y < x reflected, so each pair comes from one exact test
+    __lt__, __gt__ = _operator_fallbacks(lambda x, y: (x - y).sign() < 0, operator.lt)
+    __le__, __ge__ = _operator_fallbacks(lambda x, y: (x - y).sign() <= 0, operator.le)
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -223,24 +185,22 @@ class Surd:
         return self.b == 0
 
     def sqrt(self) -> "Surd | None":
-        """The nonnegative square root within Q(sqrt 5), or None."""
-        if self.b == 0:
-            # a rational has a root in the field as r or as q*sqrt(5)
-            r = exact_sqrt(self.a)
-            if r is not None:
-                return Surd(r)
-            q = exact_sqrt(self.a / 5)
-            return None if q is None else Surd(0, q)
-        # (x + y*sqrt(5))^2 = a + b*sqrt(5):  x^2 + 5 y^2 = a,  2xy = b.
-        e = exact_sqrt(self.a * self.a - self.b * self.b * 5)
+        """The nonnegative square root within Q(sqrt 5), or None.
+
+        (x + y*sqrt(5))^2 = a + b*sqrt(5) reads x^2 + 5 y^2 = a, 2xy = b, so
+        x^2 = (a +- sqrt(a^2 - 5 b^2))/2 and 5 y^2 = a - x^2.  A rational
+        radicand's root is x or y*sqrt(5).
+        """
+        a, b = self.a, self.b
+        e = exact_sqrt(a * a - b * b * 5)
         if e is None:
             return None
-        for t in ((self.a + e) / 2, (self.a - e) / 2):
+        for t in ((a + e) / 2, (a - e) / 2):
             x = exact_sqrt(t)
-            if x is not None and x != 0:
-                cand = Surd(x, self.b / (2 * x))
-                if cand * cand == self:
-                    return cand if cand.sign() > 0 else -cand
+            y = exact_sqrt((a - t) / 5)
+            if x is not None and y is not None:
+                root = Surd(x, y if b >= 0 else -y)
+                return root if root.sign() >= 0 else -root
         return None
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoAntipodesError, OutOfRangeError
-from .fields import GOLDEN_RATIO, Scalar, Surd, power
+from .fields import GOLDEN_RATIO, Scalar, Surd, _root5_product, power
 from .geometry import _VERTICES, SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from .polygon import (Locus, _check_power, _classify, _design_sum, _finite, _power_sum,
                       _recover, _sphere_residual, power_sum_closed)
@@ -72,7 +72,7 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
             da, db = xa - va, xb - vb
             sa += da * da + 5 * db * db
             sb += 2 * da * db
-        a, b = power((sa, sb), m, _mul_root5, (1, 0))
+        a, b = power((sa, sb), m, _root5_product, (1, 0))
         total_a += a
         total_b += b
     scale = (2 * D) ** (2 * m)
@@ -81,12 +81,6 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
     if any(isinstance(v, Fraction) for v in values):
         return Fraction(total_a, scale)
     return total_a // scale
-
-
-def _mul_root5(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(a + b sqrt 5)(c + d sqrt 5) on integer pairs."""
-    (a, b), (c, d) = x, y
-    return a * c + 5 * b * d, a * d + b * c
 
 
 def solid_locus_classify(spec: SolidSpec, m: int, C: Scalar) -> Locus:

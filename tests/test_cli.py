@@ -1,4 +1,6 @@
 import math
+import random
+import re
 import sys
 
 import pytest
@@ -22,7 +24,7 @@ def test_format_scalar():
     assert format_scalar(Fraction(8, 4)) == "2"
     assert format_scalar(Surd(Fraction(1, 2), Fraction(3, 2))) == "1/2 + 3/2*√5"
     assert format_scalar(980.0) == "980"
-    assert format_scalar(0.1234567890123456) == "0.123456789012"
+    assert format_scalar(0.1234567890123456) == "0.1234567890123456"
 
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
@@ -57,6 +59,10 @@ def test_exact_result_past_the_digit_limit_is_a_domain_error(capsys, argv):
      "--space cannot be used with --dsq"),
     (("recover", "--polygon", "3", "--dsq=", "--s2", "5", "--s4", "33"),
      "--s2, --s4 cannot be used with --dsq"),
+    (("recover", "--polygon", "3", "--s2", "5", "--s4", "33"),
+     "--polygon cannot be used with --s2/--s4"),
+    (("recover", "--polygon", "3", "--s2", "5", "--s4", "33", "--space"),
+     "--polygon cannot be used with --s2/--s4"),
 ])
 def test_contradictory_options_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -312,12 +318,33 @@ class TestSolveRecover:
         assert code == 0
         assert "R^2 = 3, L^2 = 1" in out
 
+    def test_printed_on_circle_data_reads_back(self, capsys):
+        # at L = R the recovery discriminant is 0, so the printed distances
+        # and averages must read back as the doubles that were computed
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.choice(("3", "4", "6"))
+            R = rng.uniform(0.5, 3.0)
+            d1sq = 2 * R * R * (1 - math.cos(rng.uniform(0.0, 2 * math.pi)))
+            figure = ("--polygon", n, "--R", repr(R), "--L", repr(R))
+            code, out, _ = run_cli(capsys, "solve", *figure, "--d1sq", repr(d1sq))
+            assert code == 0
+            dsq = out.splitlines()[0].split(": ")[1].replace(" ", "")
+            s2, s4 = (run_cli(capsys, "eval", *figure, "--m", m, "--average")[1].strip()
+                      for m in ("1", "2"))
+            for data in (("--polygon", n, "--dsq", dsq), ("--s2", s2, "--s4", s4)):
+                code, out, err = run_cli(capsys, "recover", *data)
+                assert code == 0, err
+                r2, l2 = map(float, re.search(r"R\^2 = (\S+), L\^2 = (\S+)\n", out).groups())
+                assert r2 == pytest.approx(R * R, rel=1e-6)
+                assert l2 == pytest.approx(R * R, rel=1e-6)
+
     def test_recover_centre_data_gives_zero_square(self, capsys):
         # the R = 0.3 hexagon measured at its centre: the float root rounds below 0
         code, out, _ = run_cli(capsys, "recover", "--s2", "0.09000000000000001",
                                "--s4", "0.0081")
         assert code == 0
-        assert "plus : R^2 = 0.09, L^2 = 0\n" in out
+        assert "plus : R^2 = 0.09000000000000002, L^2 = 0\n" in out
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
     @pytest.mark.parametrize("space", [(), ("--space",)])

@@ -139,3 +139,26 @@ def test_benchmark_tracer_spans_every_sweep():
     assert len(sweeps) == 15
     for name in [f"verify.{sweep}" for sweep in sweeps] + ["verify.errata_rows"]:
         assert calls.get(name, 0) >= 1, name
+
+
+def test_benchmark_surd_counters_see_internal_steps():
+    # a division multiplies through __mul__ and a comparison subtracts
+    # through __sub__ and then calls sign, so each is counted as well
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from cyclicavg.fields import GOLDEN_RATIO, Surd
+        import tracing
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        x, y = Surd(1, 2), Surd(3, -1)
+        tracer.begin_op()
+        x + y, x - y, x * y, x / GOLDEN_RATIO, x < y
+        tracer.end_op()
+        print(json.dumps(tracer.counts))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script, str(ROOT / "perfbench")],
+                         capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert json.loads(out.stdout) == {"fields.surd_addsub.calls": 3, "fields.surd_mul.calls": 2,
+                                      "fields.surd_div.calls": 1, "fields.surd_sign.calls": 1}
