@@ -81,7 +81,6 @@ def is_exact(x: Scalar) -> bool:
 def _root5_product(x: tuple[_T, _T], y: tuple[_T, _T]) -> tuple[_T, _T]:
     """(a + b sqrt 5)(c + d sqrt 5) on the pairs (a, b), (c, d) of any ring."""
     (a, b), (c, d) = x, y
-    # b * d * 5: a Fraction times an int takes Fraction's faster, forward path
     return a * c + b * d * 5, a * d + b * c
 
 
@@ -110,38 +109,75 @@ def _operator_fallbacks(exact: Callable[["Surd", "Surd"], _T], fallback: Callabl
     return forward, reverse
 
 
+def _surd(u: int, w: int, q: int) -> "Surd":
+    """(u + w sqrt 5)/q for q != 0, stored in lowest terms with q > 0."""
+    g = math.gcd(u, w, q)
+    if q < 0:
+        g = -g
+    x = object.__new__(Surd)
+    x._u, x._w, x._q = u // g, w // g, q // g
+    return x
+
+
+def _linear(op: Callable[[int, int], int]) -> Callable[["Surd", "Surd"], "Surd"]:
+    """x op y for op + or -, over the common denominator when there is one."""
+    def exact(x, y):
+        if x._q == y._q:
+            return _surd(op(x._u, y._u), op(x._w, y._w), x._q)
+        return _surd(op(x._u * y._q, y._u * x._q), op(x._w * y._q, y._w * x._q), x._q * y._q)
+    return exact
+
+
 class Surd:
     """Element ``a + b*sqrt(5)`` of Q(sqrt 5), the golden ratio's field.
 
-    ``a`` and ``b`` are Fractions; a value with ``b == 0`` is plain rational.
-    A float operand gives the float result ``op(float(self), other)``, as
-    for Fraction.
+    Stored as three ints, ``(u + w*sqrt(5))/q`` in lowest terms
+    (gcd(u, w, q) = 1) with ``q > 0``, so equal values hold equal triples;
+    ``a = u/q`` and ``b = w/q`` read as Fractions, and a value with
+    ``b == 0`` is plain rational.  A float operand gives the float result
+    ``op(float(self), other)``, as for Fraction.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_u", "_w", "_q")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        if not isinstance(b, (int, Fraction)):
+            b = Fraction(b)
+        # a and b in lowest terms over their lcm leave no common factor
+        q = math.lcm(a.denominator, b.denominator)
+        self._u = a.numerator * (q // a.denominator)
+        self._w = b.numerator * (q // b.denominator)
+        self._q = q
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._u, self._q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._w, self._q)
 
     # -- ring operations -------------------------------------------------
 
-    __add__, __radd__ = _operator_fallbacks(
-        lambda x, y: Surd(x.a + y.a, x.b + y.b), operator.add)
-    __sub__, __rsub__ = _operator_fallbacks(
-        lambda x, y: Surd(x.a - y.a, x.b - y.b), operator.sub)
+    __add__, __radd__ = _operator_fallbacks(_linear(operator.add), operator.add)
+    __sub__, __rsub__ = _operator_fallbacks(_linear(operator.sub), operator.sub)
     __mul__, __rmul__ = _operator_fallbacks(
-        lambda x, y: Surd(*_root5_product((x.a, x.b), (y.a, y.b))), operator.mul)
+        lambda x, y: _surd(*_root5_product((x._u, x._w), (y._u, y._w)), x._q * y._q),
+        operator.mul)
 
     def _div(x, y):
-        # y^-1 = (c - d sqrt 5) / (c^2 - 5 d^2); the norm is 0 only at y = 0
-        norm = y.a * y.a - y.b * y.b * 5
-        return x * Surd(y.a / norm, -y.b / norm)
+        # y^-1 = q (u - w sqrt 5) / (u^2 - 5 w^2); the norm is 0 only at y = 0
+        norm = y._u * y._u - 5 * y._w * y._w
+        if not norm:
+            raise ZeroDivisionError("Surd division by zero")
+        return x * _surd(y._q * y._u, -y._q * y._w, norm)
 
     __truediv__, __rtruediv__ = _operator_fallbacks(_div, operator.truediv)
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b)
+        return _surd(-self._u, -self._w, self._q)
 
     def __pow__(self, n: int) -> "Surd":
         if not isinstance(n, int) or n < 0:
@@ -150,19 +186,21 @@ class Surd:
 
     # -- structure -------------------------------------------------------
 
-    __eq__ = _operator_fallbacks(lambda x, y: x.a == y.a and x.b == y.b, operator.eq)[0]
+    __eq__ = _operator_fallbacks(
+        lambda x, y: x._u == y._u and x._w == y._w and x._q == y._q, operator.eq)[0]
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self._w == 0:
             return hash(self.a)
         return hash((self.a, self.b))
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(5): that of a when a^2 > 5 b^2, else that of b.
+        """Exact sign of (u + w*sqrt(5))/q: that of u when u^2 > 5 w^2, else that of w.
 
-        a^2 = 5 b^2 only at zero, since sqrt(5) is irrational.
+        u^2 = 5 w^2 only at zero, since sqrt(5) is irrational.
         """
-        lead = self.a if self.a * self.a > self.b * self.b * 5 else self.b
+        u, w = self._u, self._w
+        lead = u if u * u > 5 * w * w else w
         return (lead > 0) - (lead < 0)
 
     # x > y is y < x reflected, so each pair comes from one exact test
@@ -170,19 +208,29 @@ class Surd:
     __le__, __ge__ = _operator_fallbacks(lambda x, y: (x - y).sign() <= 0, operator.le)
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._u != 0 or self._w != 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _ROOT5
+        """u/q + (w/q) sqrt 5, each quotient correctly rounded.  Where u and w
+        differ in sign the two terms cancel, so the value is read off the
+        conjugate instead: (u^2 - 5 w^2)/q^2 over u/q - (w/q) sqrt 5, whose
+        numerator is the exact norm and whose terms share a sign."""
+        u, w, q = self._u, self._w, self._q
+        if u * w < 0:
+            try:
+                return (u * u - 5 * w * w) / (q * q) / (u / q - w / q * _ROOT5)
+            except OverflowError:  # a norm past the float range
+                pass
+        return u / q + w / q * _ROOT5
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if self._w == 0:
             return f"Surd({self.a})"
         return f"Surd({self.a}, {self.b})"
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._w == 0
 
     def sqrt(self) -> "Surd | None":
         """The nonnegative square root within Q(sqrt 5), or None.

@@ -29,7 +29,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .fields import Rational, Scalar, describe, is_exact, sqrt_scalar
-from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq, sum_basis
+from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq
 from .intpoly import cyclotomic, divmod_monic
 
 
@@ -50,8 +50,37 @@ def design_coefficients(m: int, dim: int) -> tuple[Rational, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _design_integers(m: int, dim: int) -> tuple[int, ...]:
+    """E (1, c_1, ..., c_K) for the design coefficients c_k and their least
+    common denominator E, all integers."""
+    c = design_coefficients(m, dim)
+    E = math.lcm(*[x.denominator for x in c])
+    return (E,) + tuple(x.numerator * (E // x.denominator) for x in c)
+
+
 def _design_sum(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
-    """The design-moment average at A = a, R^2 L^2 = rl; float overflow gives inf."""
+    """The design-moment average at A = a, R^2 L^2 = rl (m >= 1); float overflow gives inf.
+
+    Rational a = p/q and rl = r/s run as one integer sum divided once:
+    with (e_0, ..., e_K) = _design_integers(m, dim), the average is
+    sum_k e_k (r q^2)^k (s p^2)^(K-k) p^(m-2K) / (e_0 q^m s^K).  It is an int
+    exactly where the term-by-term sum below would be: for int a with no
+    terms, or int a and rl with integer coefficients.
+    """
+    if isinstance(a, (int, Fraction)) and isinstance(rl, (int, Fraction)):
+        e = _design_integers(m, dim)
+        K = len(e) - 1
+        p, q, r, s = a.numerator, a.denominator, rl.numerator, rl.denominator
+        x, y = r * q * q, s * p * p
+        total, y_power = e[K], 1
+        for coeff in reversed(e[:K]):  # Horner in x, e_K down to e_0
+            y_power *= y
+            total = total * x + coeff * y_power
+        total *= p ** (m - 2 * K)
+        if isinstance(a, int) and (K == 0 or isinstance(rl, int) and e[0] == 1):
+            return total
+        return Fraction(total, e[0] * q ** m * s ** K)
     try:
         total = a ** m
         for k, c in enumerate(design_coefficients(m, dim), 1):
@@ -139,7 +168,8 @@ def _vertex_turns(n: int, R: Rational, L: Rational, cycle_n: int | None,
     """(N, 2a, b, 2D, [e_i]): vertex i is 2D d_i^2 = 2a - b (x^e_i + x^-e_i), x = zeta_N.
 
     N = cycle_n (default n); e_i = offset - i*N/n is folded to 0..N/2 as cos
-    is even; A = R^2 + L^2 = a/D and B = 2RL = b/D share one denominator D.
+    is even.  With g the common denominator of R = r/g and L = l/g,
+    A = R^2 + L^2 = a/D and B = 2RL = b/D over D = g^2: a = r^2 + l^2, b = 2rl.
     """
     if not (isinstance(R, (int, Fraction)) and isinstance(L, (int, Fraction))):
         raise NonRationalInputError("the exact polygon oracle needs int or Fraction R and L")
@@ -150,10 +180,10 @@ def _vertex_turns(n: int, R: Rational, L: Rational, cycle_n: int | None,
     N = cycle_n or n
     if n < 1 or N < 1 or N % n:
         raise OutOfRangeError(f"cycle {N} is not a positive multiple of n={n}")
-    A, B = sum_basis(Fraction(R), Fraction(L))
-    D = math.lcm(A.denominator, B.denominator)
+    g = math.lcm(R.denominator, L.denominator)
+    r, l = R.numerator * (g // R.denominator), L.numerator * (g // L.denominator)
     turns = [min((offset - i * N // n) % N, (i * N // n - offset) % N) for i in range(n)]
-    return N, 2 * int(A * D), int(B * D), 2 * D, turns
+    return N, 2 * (r * r + l * l), 2 * r * l, 2 * g * g, turns
 
 
 def polygon_distances_sq_exact(n: int, R: Rational, L: Rational,
