@@ -237,7 +237,8 @@ def _cmd_oracle(args, parser: _Parser) -> int:
 def _cmd_locus(args, parser: _Parser) -> int:
     exact = args.backend == "exact"
     fig = _figure(args, parser, exact)
-    print(locus_classify(fig, args.m, _parse_number(args.C, exact)))
+    locus = locus_classify(fig, args.m, _parse_number(args.C, exact))
+    print(locus.kind if locus.L is None else f"{locus.kind} L={format_scalar(locus.L)}")
     return 0
 
 

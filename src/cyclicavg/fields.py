@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, TypeVar, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import InexactSqrtError
 
@@ -120,12 +120,18 @@ def _surd(u: int, w: int, q: int) -> "Surd":
 
 
 def _linear(op: Callable[[int, int], int]) -> Callable[["Surd", "Surd"], "Surd"]:
-    """x op y for op + or -, over the common denominator when there is one."""
-    def exact(x, y):
-        if x._q == y._q:
-            return _surd(op(x._u, y._u), op(x._w, y._w), x._q)
-        return _surd(op(x._u * y._q, y._u * x._q), op(x._w * y._q, y._w * x._q), x._q * y._q)
-    return exact
+    """x op y for op + or -, over the product of the denominators."""
+    return lambda x, y: _surd(op(x._u * y._q, y._u * x._q), op(x._w * y._q, y._w * x._q),
+                              x._q * y._q)
+
+
+def _over_one_denominator(values: Iterable[Scalar]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(u, w), ...]) with each exact x = (u + w sqrt 5)/D over the least
+    common denominator D of the values (int, Fraction or Surd)."""
+    parts = [(x._u, x._w, x._q) if isinstance(x, Surd) else (x.numerator, 0, x.denominator)
+             for x in values]
+    D = math.lcm(*[q for _, _, q in parts])
+    return D, [(u * (D // q), w * (D // q)) for u, w, q in parts]
 
 
 class Surd:
@@ -146,10 +152,7 @@ class Surd:
         if not isinstance(b, (int, Fraction)):
             b = Fraction(b)
         # a and b in lowest terms over their lcm leave no common factor
-        q = math.lcm(a.denominator, b.denominator)
-        self._u = a.numerator * (q // a.denominator)
-        self._w = b.numerator * (q // b.denominator)
-        self._q = q
+        self._q, ((self._u, _), (self._w, _)) = _over_one_denominator((a, b))
 
     @property
     def a(self) -> Fraction:

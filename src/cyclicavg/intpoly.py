@@ -291,29 +291,33 @@ def kronecker_small_factor(p: IntegerPolynomial, max_degree: int) -> IntegerPoly
         if combos > SEARCH_BUDGET:
             raise NoCertificateFoundError(
                 f"divisor search for degree {deg} needs {combos} combinations")
-        basis = _lagrange_basis([x for x, _ in pts])
+        xs = [x for x, _ in pts]
         for values in itertools.product(*divisor_lists):
-            coeffs = [sum(v * b[k] for v, b in zip(values, basis))
-                      for k in range(deg + 1)]
-            if coeffs[-1] == 0 or any(c.denominator != 1 for c in coeffs):
+            coeffs = _interpolate(xs, values)
+            if coeffs is None or coeffs[-1] == 0:
                 continue
-            cand = IntegerPolynomial(tuple(int(c) for c in coeffs))
-            if cand.degree == deg and divides(cand, p):
+            cand = IntegerPolynomial(tuple(coeffs))
+            if divides(cand, p):
                 return cand
     return None
 
 
-def _lagrange_basis(xs: Sequence[int]) -> list[list[Fraction]]:
-    """Coefficient vectors of the Lagrange basis polynomials over xs."""
-    out = []
-    for i, xi in enumerate(xs):
-        poly, den = [1], 1
-        for j, xj in enumerate(xs):
-            if i != j:
-                poly = poly_mul(poly, [-xj, 1])
-                den *= xi - xj
-        out.append([Fraction(c, den) for c in poly])
-    return out
+def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
+    """Integer coefficients of the polynomial through (xs, ys), or None.
+
+    Newton divided differences in place by exact division: over distinct
+    integer nodes each is an integer combination of the interpolant's
+    coefficients, so the first remainder rules out an integer interpolant."""
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i], r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                return None
+    poly = [c[-1]]  # Horner on the Newton form: poly <- poly (x - x_k) + c_k
+    for ck, xk in zip(c[-2::-1], xs[-2::-1]):
+        poly = [ck - xk * poly[0]] + [lo - xk * hi for lo, hi in zip(poly, poly[1:])] + [poly[-1]]
+    return poly
 
 
 # ---------------------------------------------------------------------------

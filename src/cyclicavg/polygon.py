@@ -28,7 +28,7 @@ from .errors import (
     NonRationalInputError,
     OutOfRangeError,
 )
-from .fields import Rational, Scalar, describe, is_exact, sqrt_scalar
+from .fields import Rational, Scalar, _over_one_denominator, describe, is_exact, sqrt_scalar
 from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq
 from .intpoly import cyclotomic, divmod_monic
 
@@ -54,9 +54,8 @@ def design_coefficients(m: int, dim: int) -> tuple[Rational, ...]:
 def _design_integers(m: int, dim: int) -> tuple[int, ...]:
     """E (1, c_1, ..., c_K) for the design coefficients c_k and their least
     common denominator E, all integers."""
-    c = design_coefficients(m, dim)
-    E = math.lcm(*[x.denominator for x in c])
-    return (E,) + tuple(x.numerator * (E // x.denominator) for x in c)
+    E, pairs = _over_one_denominator(design_coefficients(m, dim))
+    return (E,) + tuple(u for u, _ in pairs)
 
 
 def _design_sum(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
@@ -180,8 +179,7 @@ def _vertex_turns(n: int, R: Rational, L: Rational, cycle_n: int | None,
     N = cycle_n or n
     if n < 1 or N < 1 or N % n:
         raise OutOfRangeError(f"cycle {N} is not a positive multiple of n={n}")
-    g = math.lcm(R.denominator, L.denominator)
-    r, l = R.numerator * (g // R.denominator), L.numerator * (g // L.denominator)
+    g, ((r, _), (l, _)) = _over_one_denominator((R, L))
     turns = [min((offset - i * N // n) % N, (i * N // n - offset) % N) for i in range(n)]
     return N, 2 * (r * r + l * l), 2 * r * l, 2 * g * g, turns
 
@@ -253,11 +251,6 @@ class Locus:
 
     kind: str  # "circle" | "sphere" | "centroid" | "empty"
     L: float | None = None
-
-    def __str__(self) -> str:
-        if self.kind in ("circle", "sphere"):
-            return f"{self.kind} L={self.L:.12g}"
-        return self.kind
 
 
 @functools.lru_cache(maxsize=256)

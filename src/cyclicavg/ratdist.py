@@ -185,6 +185,7 @@ class RationalDistanceReport:
                 w("Hence the minimal polynomial of sin(pi/24) has degree > 4.")
         else:
             w("Certificate: INCONCLUSIVE; the degree bound was not established.")
+            lines.extend(f"    {note}" for note in cert.notes)
         pattern_text = "; ".join(
             f"{q_}:{list(deg)}" for q_, deg in cert.prime_patterns[:6])
         w("")

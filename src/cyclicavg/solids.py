@@ -17,21 +17,20 @@ arithmetic with the closed forms it checks.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoAntipodesError, OutOfRangeError
-from .fields import GOLDEN_RATIO, Scalar, Surd, _root5_product, power
+from .fields import GOLDEN_RATIO, Scalar, Surd, _over_one_denominator, _root5_product, _surd, power
 from .geometry import _VERTICES, SolidKind, SolidSpec, SpacePlacement, solid_distances_sq
 from .polygon import (Locus, _check_power, _classify, _design_sum, _finite, _power_sum,
                       _recover, _sphere_residual, power_sum_closed)
 
 _SOLID_VERTEX_COUNTS = frozenset(kind.n for kind in SolidKind)
-# Twice the table scalars 0, 1, phi, 1/phi as integer pairs (u, w) = u + w sqrt 5,
-# then their negatives in reverse, so that signed table index -k reads -2 s_k.
-_UNITS = [(int(2 * s.a), int(2 * s.b))
-          for s in (Surd(0), Surd(1), GOLDEN_RATIO, 1 / GOLDEN_RATIO)]
+# The table scalars s_k = 0, 1, phi, 1/phi as integer pairs (u, w) = U s_k
+# over their one denominator U, then their negatives in reverse, so that
+# signed table index -k reads -U s_k.
+_U, _UNITS = _over_one_denominator((0, 1, GOLDEN_RATIO, 1 / GOLDEN_RATIO))
 _UNITS += [(-u, -w) for u, w in reversed(_UNITS[1:])]
 
 
@@ -50,20 +49,17 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
 
     Exact for exact spec and placement (Q(sqrt 5) for the golden-ratio
     solids); float otherwise.  With D the common denominator of c and the
-    placement, 2D times each vertex coordinate c (u + w sqrt 5)/2 and each
-    placement coordinate is an integer pair in Z[sqrt 5]; every (2D)^2 d^2
+    placement, UD times each vertex coordinate c (u + w sqrt 5)/U and each
+    placement coordinate is an integer pair in Z[sqrt 5]; every (UD)^2 d^2
     is raised to the m-th power as a pair, and the sum is divided once by
-    (2D)^(2m).
+    (UD)^(2m).
     """
     values = (spec.c, p.x, p.y, p.z)
     if m < 1 or any(isinstance(v, float) for v in values):
         return _power_sum(solid_distances_sq(spec, p), m)
-    pairs = [(v.a, v.b) if isinstance(v, Surd) else (v, 0) for v in values]
-    D = math.lcm(*[f.denominator for pair in pairs for f in pair])
-    (cu, cw), *place = [(a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
-                        for a, b in pairs]
-    place = [(2 * a, 2 * b) for a, b in place]
-    coords = [(cu * u + 5 * cw * w, cu * w + cw * u) for u, w in _UNITS]  # 2D c s_k
+    D, ((cu, cw), *place) = _over_one_denominator(values)
+    place = [(_U * a, _U * b) for a, b in place]
+    coords = [(cu * u + 5 * cw * w, cu * w + cw * u) for u, w in _UNITS]  # UD c s_k
     depth, getters = _VERTICES[spec.kind]
     total_a = total_b = 0
     for get in getters:
@@ -75,9 +71,9 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
         a, b = power((sa, sb), m, _root5_product, (1, 0))
         total_a += a
         total_b += b
-    scale = (2 * D) ** (2 * m)
+    scale = (_U * D) ** (2 * m)
     if depth > 1 or any(isinstance(v, Surd) for v in values):  # phi in the table
-        return Surd(Fraction(total_a, scale), Fraction(total_b, scale))
+        return _surd(total_a, total_b, scale)
     if any(isinstance(v, Fraction) for v in values):
         return Fraction(total_a, scale)
     return total_a // scale

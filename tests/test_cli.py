@@ -7,8 +7,8 @@ import pytest
 
 from cyclicavg.cli import format_scalar, main
 from cyclicavg.fields import Surd
-from cyclicavg.geometry import PlanePlacement, PolygonSpec
-from cyclicavg.polygon import power_sum_brute
+from cyclicavg.geometry import PlanePlacement, PolygonSpec, SolidKind, SolidSpec
+from cyclicavg.polygon import locus_classify, power_sum_brute, power_sum_closed
 
 from fractions import Fraction
 
@@ -210,7 +210,24 @@ class TestLocus:
         code, out, _ = run_cli(capsys, "locus", "--polygon", "4", "--R", "1",
                                "--m", "3", "--C", "980")
         assert code == 0
-        assert out.startswith("circle L=2")
+        assert out == "circle L=1.9999999999999998\n"
+
+    def test_printed_radius_reads_back(self, capsys):
+        rng = random.Random(33)
+        for _ in range(60):
+            solid = rng.random() < 0.3
+            kind = rng.choice(list(SolidKind))
+            spec = SolidSpec(kind, rng.uniform(0.2, 4)) if solid else PolygonSpec(
+                rng.randint(3, 12), rng.uniform(0.2, 4))
+            m = rng.randint(1, spec.t)
+            C = power_sum_closed(spec, m, rng.uniform(0.01, 5) * math.sqrt(spec.R_sq))
+            figure = (("--solid", kind.value, "--c", repr(spec.c)) if solid
+                      else ("--polygon", str(spec.n), "--R", repr(spec.R)))
+            code, out, _ = run_cli(capsys, "locus", *figure, "--m", str(m), "--C", repr(C))
+            locus = locus_classify(spec, m, C)
+            assert code == 0
+            assert out == f"{locus.kind} L={format_scalar(locus.L)}\n"
+            assert float(out.split("L=")[1]) == locus.L
 
     def test_centroid(self, capsys):
         code, out, _ = run_cli(capsys, "locus", "--solid", "octahedron",

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+
+from cyclicavg import intpoly
 
 from cyclicavg.errors import (
     DegenerateQuarticError,
@@ -11,6 +14,7 @@ from cyclicavg.errors import (
     NonRationalInputError,
 )
 from cyclicavg.geometry import PlanePlacement, PolygonSpec, polygon_distances_sq
+from cyclicavg.intpoly import IntegerPolynomial, certify_no_small_factor
 from cyclicavg.ratdist import (
     necessary_condition_areas,
     quartic_witness,
@@ -181,3 +185,23 @@ class TestReport:
         assert "conclusion: no rational-distance point exists" in text
         assert text.count("```") == 2
         assert "no rational-distance point exists" in text.splitlines()[-1]
+
+    def test_inconclusive_report_shows_the_budget_message(self, monkeypatch):
+        monkeypatch.setattr(intpoly, "SEARCH_BUDGET", 1)
+        report = rational24_report()
+        assert report.certificate.method == "inconclusive"
+        (note,) = report.certificate.notes
+        assert note.startswith("divisor search for degree 1 needs ")
+        lines = report.render().splitlines()
+        assert lines[lines.index("Certificate: INCONCLUSIVE; the degree bound was not "
+                                 "established.") + 1] == f"    {note}"
+        assert lines[-1] == "inconclusive: certificate search exhausted without a proof."
+
+    def test_found_factor_report_shows_the_factor(self):
+        # (x^2 - 2)(x^2 - 3): no rational root, so the search finds the quadratic
+        certificate = certify_no_small_factor(IntegerPolynomial((6, 0, -5, 0, 1)), 2)
+        assert certificate.method == "divisor-search"
+        assert not certificate.certified
+        text = dataclasses.replace(rational24_report(), certificate=certificate).render()
+        assert f"    found factor {certificate.small_factor}\n" in text
+        assert "found factor" not in rational24_report().render()
