@@ -88,20 +88,20 @@ def _operator_fallbacks(exact: Callable[["Surd", "Surd"], _T], fallback: Callabl
     """Forward and reflected methods for one binary operator, built the way
     ``fractions.Fraction`` builds its own.
 
-    An int or Fraction operand is lifted to a Surd and ``exact`` runs on the
-    pair in operand order; a float operand gives ``fallback`` on
+    An int or Fraction operand is lifted to a Surd by _rational and ``exact``
+    runs on the pair in operand order; a float operand gives ``fallback`` on
     ``float(self)`` in the same order; anything else is NotImplemented.
     """
     def forward(a, b):
         if isinstance(b, Surd):
             return exact(a, b)
         if isinstance(b, (int, Fraction)):
-            return exact(a, Surd(b))
+            return exact(a, _rational(b))
         return fallback(float(a), b) if isinstance(b, float) else NotImplemented
 
     def reverse(b, a):
         if isinstance(a, (int, Fraction)):
-            return exact(Surd(a), b)
+            return exact(_rational(a), b)
         if isinstance(a, Surd):
             return exact(a, b)
         return fallback(a, float(b)) if isinstance(a, float) else NotImplemented
@@ -117,6 +117,13 @@ def _surd(u: int, w: int, q: int) -> "Surd":
     x = object.__new__(Surd)
     x._u, x._w, x._q = u // g, w // g, q // g
     return x
+
+
+def _rational(x: Rational) -> "Surd":
+    """x as the Surd (numerator + 0 sqrt 5)/denominator, already in lowest terms."""
+    y = object.__new__(Surd)
+    y._u, y._w, y._q = x.numerator, 0, x.denominator
+    return y
 
 
 def _linear(op: Callable[[int, int], int]) -> Callable[["Surd", "Surd"], "Surd"]:

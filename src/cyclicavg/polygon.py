@@ -184,20 +184,57 @@ def _vertex_turns(n: int, R: Rational, L: Rational, cycle_n: int | None,
     return N, 2 * (r * r + l * l), 2 * r * l, 2 * g * g, turns
 
 
+@functools.lru_cache(maxsize=128)
+def _cosine_rows(N: int) -> tuple[tuple[int, ...], ...]:
+    """Row j is x^j + x^-j in Z[x]/(Phi_N), x = zeta_N, for j = 0..N-1."""
+    phi = cyclotomic(N).coeffs
+    rows = []
+    for j in range(N):
+        pair = [0] * (N + 1)
+        pair[j] += 1
+        pair[N - j] += 1
+        rows.append(tuple(divmod_monic(pair, phi)[1]))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _orbit_sums(N: int, counts: tuple[tuple[int, int], ...]
+                ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(h, s_h) for each h in 0..N-1 where s_h = sum_i (y_i^h + y_i^-h) in
+    Z[x]/(Phi_N) is not zero; a zero s_h is left out.
+
+    counts holds (turn e, vertex count) pairs with y_i = x^e_i, so s_h
+    depends only on h mod N and on the turn multiset.
+    """
+    rows = _cosine_rows(N)
+    out = []
+    for h in range(N):
+        s = [0] * len(rows[0])
+        for e, count in counts:
+            s = [t + count * v for t, v in zip(s, rows[h * e % N])]
+        if any(s):
+            out.append((h, tuple(s)))
+    return tuple(out)
+
+
 def polygon_distances_sq_exact(n: int, R: Rational, L: Rational,
                                cycle_n: int | None = None,
                                offset: int = 0) -> tuple[Fraction, ...]:
     """Exact squared distances at alpha = offset * 2*pi/cycle_n, all rational.
 
-    cycle_n is a multiple of n (default n).  Each is the m = 1 sum of one
-    vertex at its turn; where one is irrational this raises OutOfRangeError,
-    though power_sum_brute_exact still sums such placements exactly.
+    cycle_n is a multiple of n (default n).  Vertex i is (2a - b row_e)/2D
+    for the row x^e + x^-e of its turn e; where one is irrational this
+    raises OutOfRangeError, though power_sum_brute_exact still sums such
+    placements exactly.
     """
-    N, _, _, _, turns = _vertex_turns(n, R, L, cycle_n, offset)
-    d_sq = {e: _power_sums_exact(1, (1,), R, L, N, e)[0] for e in set(turns)}
-    if None in d_sq.values():
-        raise OutOfRangeError(f"irrational squared distances for n={n} on cycle "
-                              f"{cycle_n or n} at offset {offset}")
+    N, two_a, b, scale, turns = _vertex_turns(n, R, L, cycle_n, offset)
+    rows = _cosine_rows(N)
+    d_sq = {}
+    for e in set(turns):
+        if b and any(rows[e][1:]):
+            raise OutOfRangeError(f"irrational squared distances for n={n} on cycle "
+                                  f"{cycle_n or n} at offset {offset}")
+        d_sq[e] = Fraction(two_a - b * rows[e][0], scale)
     return tuple(d_sq[e] for e in turns)
 
 
@@ -205,29 +242,34 @@ def _power_sums_exact(n: int, ms: Iterable[int], R: Rational, L: Rational,
                       cycle_n: int | None, offset: int) -> list[Fraction | None]:
     """Exact sums of d^(2m) at alpha = offset * 2*pi/cycle_n for every m in ms.
 
-    Every vertex is 2a - b (y + 1/y) at y = x^e in Z[x]/(x^N - 1): one chain
-    of products expands its powers, and each is placed at every distinct
-    turn, weighted by its vertex count.  Each wanted total is reduced by Phi_N
-    once; it is None (irrational) where a non-constant coordinate remains.
+    Every vertex is 2a - b (y + 1/y) at y = x^e in Z[x]/(Phi_N), and its m-th
+    power is sum_h P_m(h) y^h for the palindromic P_m(h) = P_m(-h), which one
+    chain of products expands.  Exchanging the sums over vertices and h, the
+    total over the V vertices is P_m(0) V + sum_{h=1..m} P_m(h) s_h, where
+    s_h = sum_i (y_i^h + y_i^-h) depends only on h mod N (see _orbit_sums).
+    A total is None (irrational) where a non-constant coordinate remains.
     The closed form is never consulted.
     """
     ms = tuple(ms)
     if min(ms) < 1:
         raise OutOfRangeError("power index m must be >= 1")
     N, two_a, b, scale, turns = _vertex_turns(n, R, L, cycle_n, offset)
-    counts = collections.Counter(turns).items()
-    p, chain = [1], []  # p[k] is the coefficient of y^(k - m)
+    orbit = _orbit_sums(N, tuple(sorted(collections.Counter(turns).items())))
+    width = cyclotomic(N).degree
+    p, chain = [1], []  # p[h] is P_m(h) for h = 0..m
     for _ in range(max(ms)):
-        p = [two_a * x - b * (y + z) for x, y, z in zip([0] + p + [0], p + [0, 0], [0, 0] + p)]
+        q = p + [0, 0]  # P_m+1(h) = 2a P_m(h) - b (P_m(h - 1) + P_m(h + 1)), P_m(-1) = P_m(1)
+        p = [two_a * x - b * (y + z) for x, y, z in zip(q, q[1:2] + q, q[1:])]
         chain.append(p)
     sums = []
     for m in ms:
-        total = [0] * N
-        for e, count in counts:
-            for k, coeff in enumerate(chain[m - 1]):
-                total[(k - m) * e % N] += count * coeff
-        rem = divmod_monic(total, cyclotomic(N).coeffs)[1]
-        sums.append(None if any(rem[1:]) else Fraction(rem[0], scale ** m))
+        p = chain[m - 1]
+        total = [p[0] * len(turns)] + [0] * (width - 1)
+        for j, s in orbit:
+            c = sum(p[j or N::N])  # every h = j mod N in 1..m
+            if c:
+                total = [t + c * v for t, v in zip(total, s)]
+        sums.append(None if any(total[1:]) else Fraction(total[0], scale ** m))
     return sums
 
 

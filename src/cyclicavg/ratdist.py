@@ -184,7 +184,10 @@ class RationalDistanceReport:
             else:
                 w("Hence the minimal polynomial of sin(pi/24) has degree > 4.")
         else:
-            w("Certificate: INCONCLUSIVE; the degree bound was not established.")
+            w("Certificate: INCONCLUSIVE; the degree bound was not established."
+              if cert.small_factor is None else
+              f"Certificate: NONE; the divisor search found a factor of degree "
+              f"{cert.small_factor.degree}, so p is reducible.")
             lines.extend(f"    {note}" for note in cert.notes)
         pattern_text = "; ".join(
             f"{q_}:{list(deg)}" for q_, deg in cert.prime_patterns[:6])
@@ -200,6 +203,8 @@ class RationalDistanceReport:
             w("The two degree statements contradict each other, so no point of")
             w("the plane is at rational distances from all vertices of the unit")
             w("regular 24-gon: no rational-distance point exists.")
+        elif cert.small_factor is not None:
+            w("reducible: the search found a factor of p, so p proves no degree bound.")
         else:
             w("inconclusive: certificate search exhausted without a proof.")
         return "\n".join(lines)
@@ -226,7 +231,8 @@ def rational24_report() -> RationalDistanceReport:
         approximants.append((approx, 1 if value > 0 else (-1 if value < 0 else 0)))
     certificate = certify_no_small_factor(octic, max_degree=4)
     conclusion = ("no rational-distance point exists" if certificate.certified
-                  else "inconclusive")
+                  else "inconclusive" if certificate.small_factor is None
+                  else "p is reducible")
     return RationalDistanceReport(
         sin_value=sin_value,
         quartic_example=witness,

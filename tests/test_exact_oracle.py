@@ -1,6 +1,7 @@
 """The one-pass exact polygon oracle: every m in one pass, each sum exact,
 marked irrational exactly where it is, and blind to the closed form."""
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -10,7 +11,9 @@ import pytest
 from cyclicavg import polygon, verify
 from cyclicavg.errors import OutOfRangeError
 from cyclicavg.geometry import PlanePlacement, PolygonSpec
+from cyclicavg.intpoly import cyclotomic, divmod_monic
 from cyclicavg.polygon import (
+    _cosine_rows,
     _power_sums_exact,
     power_sum_brute,
     power_sum_brute_exact,
@@ -126,3 +129,80 @@ def test_interpolation_sweep_fails_on_a_miscounted_vertex(monkeypatch, turn):
     monkeypatch.setattr(polygon, "_vertex_turns", one_extra_vertex)
     row = verify.sweep_exact_interpolation(0)
     assert (row.checks, row.max_rel, row.passed) == (0, math.inf, False)
+
+
+def _scatter_reference(ms, N, two_a, b, scale, turns):
+    """The sums over the vertices that polygon._vertex_turns describes, by the
+    plain route: each vertex's (2a - b (y + 1/y))^m scattered into
+    Z[x]/(x^N - 1), the total divided by Phi_N per m."""
+    sums = []
+    for m in ms:
+        p = [1]  # p[k] is the coefficient of y^(k - m)
+        for _ in range(m):
+            p = [two_a * x - b * (y + z)
+                 for x, y, z in zip([0] + p + [0], p + [0, 0], [0, 0] + p)]
+        total = [0] * N
+        for e in turns:
+            for k, coeff in enumerate(p):
+                total[(k - m) * e % N] += coeff
+        rem = divmod_monic(total, cyclotomic(N).coeffs)[1]
+        sums.append(None if any(rem[1:]) else Fraction(rem[0], scale ** m))
+    return sums
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_oracle_matches_the_scatter_reference(n):
+    # every offset of cycles n, 2n, 3n and 5n, at the centre, on the circle
+    # and off it; unordered and repeated m, m past N on the cycles n and 2n.
+    # The reference sums over the vertices in any order, so it runs once per
+    # turn multiset, and once per turn for the distances
+    for N, L in itertools.product((n, 2 * n, 3 * n, 5 * n), (Fraction(0), R, Fraction(5, 7))):
+        ms = (3, 1, 3, n + 1) + ((N, N + 1) if N <= 2 * n else ())
+        sums, d_sq = {}, {}
+        for offset in range(N):
+            vertex = polygon._vertex_turns(n, R, L, N, offset)
+            turns = vertex[-1]
+            key = tuple(sorted(turns))
+            if key not in sums:
+                sums[key] = _scatter_reference(ms, *vertex)
+            assert _power_sums_exact(n, ms, R, L, N, offset) == sums[key], (N, L, offset)
+            for e in turns:
+                if e not in d_sq:
+                    d_sq[e] = _scatter_reference((1,), *vertex[:-1], [e])[0]
+            if any(d_sq[e] is None for e in turns):
+                with pytest.raises(OutOfRangeError, match="irrational squared distances"):
+                    polygon.polygon_distances_sq_exact(n, R, L, N, offset)
+            else:
+                assert polygon.polygon_distances_sq_exact(n, R, L, N, offset) \
+                    == tuple(d_sq[e] for e in turns)
+
+
+def test_oracle_counts_vertices_from_the_turn_list(monkeypatch):
+    # a turn list longer than n: the vertex count comes from the list
+    vertex_turns = polygon._vertex_turns
+
+    def one_extra_vertex(*args):
+        N, two_a, b, scale, turns = vertex_turns(*args)
+        return N, two_a, b, scale, turns + [turns[-1]]
+
+    monkeypatch.setattr(polygon, "_vertex_turns", one_extra_vertex)
+    for n, L in itertools.product((1, 4, 6, 7), (Fraction(0), R, Fraction(5, 7))):
+        for N, offset in itertools.product((n, 2 * n), range(3)):
+            ms = (2, 1, n + 1, 2 * n)
+            assert _power_sums_exact(n, ms, R, L, N, offset) \
+                == _scatter_reference(ms, *polygon._vertex_turns(n, R, L, N, offset)), \
+                (n, N, L, offset)
+
+
+@pytest.mark.parametrize("N", range(1, 41))
+def test_cosine_rows_are_reduced_pairs_of_powers(N):
+    rows = _cosine_rows(N)
+    assert rows is _cosine_rows(N)  # one table per N
+    zeta = cmath.exp(2j * math.pi / N)
+    for j, row in enumerate(rows):
+        pair = [0] * (N + 1)
+        pair[j] += 1
+        pair[N - j] += 1
+        assert list(row) == divmod_monic(pair, cyclotomic(N).coeffs)[1]
+        value = sum(c * zeta ** k for k, c in enumerate(row))
+        assert cmath.isclose(value, 2 * math.cos(2 * math.pi * j / N), abs_tol=1e-9)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclicavg import intpoly
+from cyclicavg import intpoly, ratdist
 
 from cyclicavg.errors import (
     DegenerateQuarticError,
@@ -197,11 +197,25 @@ class TestReport:
                                  "established.") + 1] == f"    {note}"
         assert lines[-1] == "inconclusive: certificate search exhausted without a proof."
 
-    def test_found_factor_report_shows_the_factor(self):
+    def test_found_factor_report_shows_the_factor(self, monkeypatch):
         # (x^2 - 2)(x^2 - 3): no rational root, so the search finds the quadratic
         certificate = certify_no_small_factor(IntegerPolynomial((6, 0, -5, 0, 1)), 2)
         assert certificate.method == "divisor-search"
         assert not certificate.certified
+        octic_text = rational24_report().render()
         text = dataclasses.replace(rational24_report(), certificate=certificate).render()
         assert f"    found factor {certificate.small_factor}\n" in text
-        assert "found factor" not in rational24_report().render()
+        # a report built around such a certificate concludes the same
+        monkeypatch.setattr(ratdist, "certify_no_small_factor", lambda p, max_degree: certificate)
+        report = rational24_report()
+        assert report.conclusion == "p is reducible"
+        assert report.render() == text.replace("conclusion: no rational-distance point exists",
+                                               "conclusion: p is reducible")
+        lines = text.splitlines()
+        assert lines[lines.index("    found factor -1*x^2 + 2") - 1] == (
+            "Certificate: NONE; the divisor search found a factor of degree 2, "
+            "so p is reducible.")
+        assert "INCONCLUSIVE" not in text and "exhausted" not in text
+        assert lines[-1] == ("reducible: the search found a factor of p, "
+                             "so p proves no degree bound.")
+        assert "found factor" not in octic_text
