@@ -84,6 +84,40 @@ def _root5_product(x: tuple[_T, _T], y: tuple[_T, _T]) -> tuple[_T, _T]:
     return a * c + b * d * 5, a * d + b * c
 
 
+def _root5_sign(u: int, w: int) -> int:
+    """Exact sign of u + w sqrt 5: that of u when u^2 > 5 w^2, else that of w.
+
+    u^2 = 5 w^2 only at zero, since sqrt(5) is irrational.
+    """
+    lead = u if u * u > 5 * w * w else w
+    return (lead > 0) - (lead < 0)
+
+
+def _root5_isqrt(a: int, b: int) -> tuple[int, int] | None:
+    """(x, y) with (x + y sqrt 5)^2 = a + b sqrt 5 and x + y sqrt 5 >= 0, or None.
+
+    x^2 + 5 y^2 = a and 2xy = b, so x^2 = (a +- e)/2 for e^2 = a^2 - 5 b^2
+    and 5 y^2 = a - x^2.  A root in Q(sqrt 5) of an element of Z[sqrt 5] is
+    an algebraic integer, in Z[phi]; the elements (x + y sqrt 5)/2 of Z[phi]
+    with x, y odd square outside Z[sqrt 5], so integer x, y find every root.
+    """
+    norm = a * a - 5 * b * b
+    if norm < 0:
+        return None
+    e = math.isqrt(norm)
+    if e * e != norm or (a + e) % 2:
+        return None
+    for t in ((a + e) // 2, (a - e) // 2):
+        y_sq, rest = divmod(a - t, 5)
+        if t < 0 or y_sq < 0 or rest:
+            continue
+        x, y = math.isqrt(t), math.isqrt(y_sq)
+        if x * x == t and y * y == y_sq:
+            y = y if b >= 0 else -y
+            return (x, y) if _root5_sign(x, y) >= 0 else (-x, -y)
+    return None
+
+
 def _operator_fallbacks(exact: Callable[["Surd", "Surd"], _T], fallback: Callable):
     """Forward and reflected methods for one binary operator, built the way
     ``fractions.Fraction`` builds its own.
@@ -132,11 +166,15 @@ def _linear(op: Callable[[int, int], int]) -> Callable[["Surd", "Surd"], "Surd"]
                               x._q * y._q)
 
 
+def _triple(x: Scalar) -> tuple[int, int, int]:
+    """(u, w, q) with exact x = (u + w sqrt 5)/q in lowest terms, q > 0."""
+    return (x._u, x._w, x._q) if isinstance(x, Surd) else (x.numerator, 0, x.denominator)
+
+
 def _over_one_denominator(values: Iterable[Scalar]) -> tuple[int, list[tuple[int, int]]]:
     """(D, [(u, w), ...]) with each exact x = (u + w sqrt 5)/D over the least
     common denominator D of the values (int, Fraction or Surd)."""
-    parts = [(x._u, x._w, x._q) if isinstance(x, Surd) else (x.numerator, 0, x.denominator)
-             for x in values]
+    parts = [_triple(x) for x in values]
     D = math.lcm(*[q for _, _, q in parts])
     return D, [(u * (D // q), w * (D // q)) for u, w, q in parts]
 
@@ -159,7 +197,9 @@ class Surd:
         if not isinstance(b, (int, Fraction)):
             b = Fraction(b)
         # a and b in lowest terms over their lcm leave no common factor
-        self._q, ((self._u, _), (self._w, _)) = _over_one_denominator((a, b))
+        p, q, v, s = a.numerator, a.denominator, b.numerator, b.denominator
+        g = math.gcd(q, s)
+        self._u, self._w, self._q = p * (s // g), v * (q // g), q // g * s
 
     @property
     def a(self) -> Fraction:
@@ -192,7 +232,7 @@ class Surd:
     def __pow__(self, n: int) -> "Surd":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        return power(self, n, operator.mul, Surd(1))
+        return power(self, n, operator.mul, _ONE)
 
     # -- structure -------------------------------------------------------
 
@@ -205,13 +245,8 @@ class Surd:
         return hash((self.a, self.b))
 
     def sign(self) -> int:
-        """Exact sign of (u + w*sqrt(5))/q: that of u when u^2 > 5 w^2, else that of w.
-
-        u^2 = 5 w^2 only at zero, since sqrt(5) is irrational.
-        """
-        u, w = self._u, self._w
-        lead = u if u * u > 5 * w * w else w
-        return (lead > 0) - (lead < 0)
+        """Exact sign of (u + w*sqrt(5))/q, that of u + w*sqrt(5) as q > 0."""
+        return _root5_sign(self._u, self._w)
 
     # x > y is y < x reflected, so each pair comes from one exact test
     __lt__, __gt__ = _operator_fallbacks(lambda x, y: (x - y).sign() < 0, operator.lt)
@@ -245,37 +280,33 @@ class Surd:
     def sqrt(self) -> "Surd | None":
         """The nonnegative square root within Q(sqrt 5), or None.
 
-        (x + y*sqrt(5))^2 = a + b*sqrt(5) reads x^2 + 5 y^2 = a, 2xy = b, so
-        x^2 = (a +- sqrt(a^2 - 5 b^2))/2 and 5 y^2 = a - x^2.  A rational
-        radicand's root is x or y*sqrt(5).
+        sqrt((u + w sqrt 5)/q) is the root of the integer pair (u q, w q)
+        over q (see _root5_isqrt); a rational radicand's root is x or
+        y*sqrt(5).
         """
-        a, b = self.a, self.b
-        e = exact_sqrt(a * a - b * b * 5)
-        if e is None:
-            return None
-        for t in ((a + e) / 2, (a - e) / 2):
-            x = exact_sqrt(t)
-            y = exact_sqrt((a - t) / 5)
-            if x is not None and y is not None:
-                root = Surd(x, y if b >= 0 else -y)
-                return root if root.sign() >= 0 else -root
-        return None
+        root = _root5_isqrt(self._u * self._q, self._w * self._q)
+        return None if root is None else _surd(*root, self._q)
 
 
+_ONE = _rational(1)
 GOLDEN_RATIO = Surd(Fraction(1, 2), Fraction(1, 2))
+
+
+def _no_exact_sqrt(x: Scalar) -> InexactSqrtError:
+    """The refusal of sqrt(x) for an exact x whose root leaves its field."""
+    where = "does not lie in the same field" if isinstance(x, Surd) else \
+        "is irrational; use the float backend"
+    return InexactSqrtError(f"sqrt({describe(x)}) {where}")
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:
     """Backend-aware square root: exact for exact inputs, float otherwise."""
     if isinstance(x, (int, Fraction)):
         r = exact_sqrt(x)
-        if r is None:
-            raise InexactSqrtError(f"sqrt({describe(x)}) is irrational; use the float backend")
-        return r
-    if isinstance(x, Surd):
+    elif isinstance(x, Surd):
         r = x.sqrt()
-        if r is None:
-            raise InexactSqrtError(f"sqrt({describe(x)}) does not lie in the same field")
-        return r
-    return math.sqrt(x)
-
+    else:
+        return math.sqrt(x)
+    if r is None:
+        raise _no_exact_sqrt(x)
+    return r

@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -28,12 +29,17 @@ from .errors import (
     NonRationalInputError,
     OutOfRangeError,
 )
-from .fields import Rational, Scalar, _over_one_denominator, describe, is_exact, sqrt_scalar
+from .fields import (Rational, Scalar, Surd, _no_exact_sqrt, _over_one_denominator,
+                     _root5_isqrt, _root5_product, _root5_sign, _surd, _triple, describe,
+                     is_exact, power, sqrt_scalar)
 from .geometry import PlanePlacement, PolygonSpec, SolidSpec, polygon_distances_sq
 from .intpoly import cyclotomic, divmod_monic
 
 
 _HALF = Fraction(1, 2)
+# the refusals of S2 <= 0 and of S4 < S2^2, for float and exact data alike
+_S2_NOT_POSITIVE = "S2 must be positive"
+_S4_BELOW_S2_SQ = "S4 < S2^2 is impossible for genuine data"
 
 Figure = Union[PolygonSpec, SolidSpec]
 
@@ -58,28 +64,27 @@ def _design_integers(m: int, dim: int) -> tuple[int, ...]:
     return (E,) + tuple(u for u, _ in pairs)
 
 
-def _design_sum(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
-    """The design-moment average at A = a, R^2 L^2 = rl (m >= 1); float overflow gives inf.
+# (mul, add, int times element, one) of Z, and of Z[sqrt 5] on the pairs
+# (u, w) standing for u + w sqrt 5
+_INTEGERS = (operator.mul, operator.add, operator.mul, 1)
+_ROOT5_PAIRS = (_root5_product, lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                lambda k, x: (k * x[0], k * x[1]), (1, 0))
 
-    Rational a = p/q and rl = r/s run as one integer sum divided once:
-    with (e_0, ..., e_K) = _design_integers(m, dim), the average is
-    sum_k e_k (r q^2)^k (s p^2)^(K-k) p^(m-2K) / (e_0 q^m s^K).  It is an int
-    exactly where the term-by-term sum below would be: for int a with no
-    terms, or int a and rl with integer coefficients.
-    """
-    if isinstance(a, (int, Fraction)) and isinstance(rl, (int, Fraction)):
-        e = _design_integers(m, dim)
-        K = len(e) - 1
-        p, q, r, s = a.numerator, a.denominator, rl.numerator, rl.denominator
-        x, y = r * q * q, s * p * p
-        total, y_power = e[K], 1
-        for coeff in reversed(e[:K]):  # Horner in x, e_K down to e_0
-            y_power *= y
-            total = total * x + coeff * y_power
-        total *= p ** (m - 2 * K)
-        if isinstance(a, int) and (K == 0 or isinstance(rl, int) and e[0] == 1):
-            return total
-        return Fraction(total, e[0] * q ** m * s ** K)
+
+def _design_numerator(e: tuple[int, ...], x, y_sq, ring):
+    """sum_k e_k x^k y_sq^(K-k) over k = 0..K for e = (e_0, ..., e_K), by
+    Horner in x, in the ring (mul, add, scale, one) given."""
+    mul, add, scale, one = ring
+    total, y_power = scale(e[-1], one), one
+    for coeff in reversed(e[:-1]):
+        y_power = mul(y_power, y_sq)
+        total = add(mul(total, x), scale(coeff, y_power))
+    return total
+
+
+def _design_terms(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
+    """A^m + sum_k c_k (R^2 L^2)^k A^(m-2k) at A = a, R^2 L^2 = rl, one term at
+    a time in the arithmetic of the operands; float overflow gives inf."""
     try:
         total = a ** m
         for k, c in enumerate(design_coefficients(m, dim), 1):
@@ -87,6 +92,54 @@ def _design_sum(m: int, dim: int, a: Scalar, rl: Scalar) -> Scalar:
     except OverflowError:
         return math.inf
     return total
+
+
+def _design_ratio(m: int, dim: int, x: tuple[int, int], y: tuple[int, int],
+                  y_sq: tuple[int, int], den: int, field: type, n: int = 1) -> Scalar:
+    """n y^(m-2K) sum_k e_k x^k y_sq^(K-k) / (e_0 den), one integer sum divided
+    once, for (e_0, ..., e_K) = _design_integers(m, dim), K = m // 2, and
+    integer pairs x, y, y_sq standing for u + w sqrt 5 (y_sq = y^2 up to an
+    integer factor).
+
+    The result is of the type ``field`` that the term-by-term sum has: Surd,
+    Fraction, or int (a Fraction unless e_0 = 1).
+    """
+    e = _design_integers(m, dim)
+    if x[1] or y[1]:
+        u, w = _design_numerator(e, x, y_sq, _ROOT5_PAIRS)
+        if m % 2:
+            u, w = _root5_product((u, w), y)
+    else:
+        u, w = _design_numerator(e, x[0], y_sq[0], _INTEGERS) * (y[0] if m % 2 else 1), 0
+    if field is Surd:
+        return _surd(n * u, n * w, e[0] * den)
+    if field is int and e[0] == 1:
+        return n * u
+    return Fraction(n * u, e[0] * den)
+
+
+def _design_sum(m: int, dim: int, r_sq: Scalar, l_sq: Scalar, n: int = 1) -> Scalar:
+    """n times the design-moment average at R^2 = r_sq, L^2 = l_sq (m >= 1).
+
+    Exact values are lifted once to r/D, l/D over one denominator D (pairs
+    in Z[sqrt 5] where either holds sqrt 5).  Then A = (r + l)/D and
+    R^2 L^2 = r l/D^2, and the average is
+    sum_k e_k (r l)^k (r + l)^(m-2k) / (e_0 D^m), summed by _design_ratio.
+    Otherwise the term-by-term sum runs in floats; float overflow gives inf.
+    """
+    if not (is_exact(r_sq) and is_exact(l_sq)):
+        return n * _design_terms(m, dim, r_sq + l_sq, r_sq * l_sq)
+    D, ((ru, rw), (lu, lw)) = _over_one_denominator((r_sq, l_sq))
+    y = (ru + lu, rw + lw)
+    if rw or lw:
+        x, y_sq = _root5_product((ru, rw), (lu, lw)), _root5_product(y, y)
+    else:
+        x, y_sq = (ru * lu, 0), (y[0] * y[0], 0)
+    if isinstance(r_sq, Surd) or isinstance(l_sq, Surd):
+        field = Surd
+    else:
+        field = int if isinstance(r_sq, int) and isinstance(l_sq, int) else Fraction
+    return _design_ratio(m, dim, x, y, y_sq, D ** m, field, n)
 
 
 def _finite(value: Scalar, advice: str = "use smaller inputs or the exact backend") -> Scalar:
@@ -107,21 +160,20 @@ def _check_power(m: int, top: int, figure: str) -> None:
 def power_sum_closed_sq(n: int, m: int, r_sq: Scalar, l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all n vertices, from squared inputs."""
     _check_power(m, n - 1, f"{n}-gon")
-    return _finite(n * _design_sum(m, 2, r_sq + l_sq, r_sq * l_sq))
+    return _finite(_design_sum(m, 2, r_sq, l_sq, n))
 
 
-def _average(spec: Figure, m: int, L: Scalar) -> Scalar:
-    """The closed-form cyclic average of either figure at centroid distance L."""
+def _average(spec: Figure, m: int, L: Scalar, n: int = 1) -> Scalar:
+    """n times the closed-form cyclic average of either figure at centroid distance L."""
     if not L >= 0:
         raise OutOfRangeError("centroid distance L must be >= 0")
     _check_power(m, spec.t, spec.name)
-    r_sq, l_sq = spec.R_sq, L * L
-    return _design_sum(m, spec.dim, r_sq + l_sq, r_sq * l_sq)
+    return _design_sum(m, spec.dim, spec.R_sq, L * L, n)
 
 
 def power_sum_closed(spec: Figure, m: int, L: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over the vertices of a polygon or solid."""
-    return _finite(spec.n * _average(spec, m, L))
+    return _finite(_average(spec, m, L, spec.n))
 
 
 @dataclass(frozen=True)
@@ -172,14 +224,14 @@ def _vertex_turns(n: int, R: Rational, L: Rational, cycle_n: int | None,
     """
     if not (isinstance(R, (int, Fraction)) and isinstance(L, (int, Fraction))):
         raise NonRationalInputError("the exact polygon oracle needs int or Fraction R and L")
-    if not R > 0:
+    g, ((r, _), (l, _)) = _over_one_denominator((R, L))
+    if not r > 0:
         raise OutOfRangeError("circumradius must be positive")
-    if not L >= 0:
+    if not l >= 0:
         raise OutOfRangeError("centroid distance L must be >= 0")
     N = cycle_n or n
     if n < 1 or N < 1 or N % n:
         raise OutOfRangeError(f"cycle {N} is not a positive multiple of n={n}")
-    g, ((r, _), (l, _)) = _over_one_denominator((R, L))
     turns = [min((offset - i * N // n) % N, (i * N // n - offset) % N) for i in range(n)]
     return N, 2 * (r * r + l * l), 2 * r * l, 2 * g * g, turns
 
@@ -297,14 +349,22 @@ class Locus:
 
 @functools.lru_cache(maxsize=256)
 def _u_coefficients(m: int, dim: int) -> tuple[Rational, ...]:
-    """q_0..q_m, all > 0: _design_sum(m, dim, r + u, r u) = sum_j q_j r^(m-j) u^j."""
+    """q_0..q_m, all > 0: _design_sum(m, dim, r, u) = sum_j q_j r^(m-j) u^j."""
     c = (1,) + design_coefficients(m, dim)
     return tuple(sum(c[k] * math.comb(m - 2 * k, j - k) for k in range(min(j, m - j) + 1))
                  for j in range(m + 1))
 
 
-def _radius_sq(q: tuple[Rational, ...], n: int, r: float, C: float) -> float:
-    """The root u = L^2 of n sum_j q_j r^(m-j) u^j = C, by monotone Newton.
+@functools.lru_cache(maxsize=256)
+def _u_floats(m: int, dim: int) -> tuple[float, ...]:
+    """_u_coefficients(m, dim) as floats; a rational q_j times a float is
+    float(q_j) times it, so the products keep their bits."""
+    return tuple(map(float, _u_coefficients(m, dim)))
+
+
+def _radius_sq(m: int, dim: int, n: int, r: float, C: float) -> float:
+    """The root u = L^2 of n sum_j q_j r^(m-j) u^j = C (q = _u_coefficients(m, dim)),
+    by monotone Newton.
 
     With w = (C/n)^(1/m) and u = w s this reads sum_j b_j s^j = 1 for
     b_j = q_j (r/w)^(m-j), whose root lies in (0, 1], so no term overflows.
@@ -312,11 +372,10 @@ def _radius_sq(q: tuple[Rational, ...], n: int, r: float, C: float) -> float:
     bound min_j b_j^(-1/j) descends monotonically, until an iterate no
     longer decreases.
     """
-    m = len(q) - 1
     w = (C / n) ** (1.0 / m)
     if w == 0.0:
         raise OutOfRangeError("the locus radius underflows a float; use larger inputs")
-    b = [qj * (r / w) ** (m - j) for j, qj in enumerate(q)]
+    b = [qj * (r / w) ** (m - j) for j, qj in enumerate(_u_floats(m, dim))]
     s = min((bj ** (-1.0 / j) for j, bj in enumerate(b) if j and bj > 1.0), default=1.0)
     b[0] -= 1.0
     b.reverse()
@@ -347,10 +406,19 @@ def _classify(spec: Figure, m: int, C: Scalar) -> Locus:
     if not C > 0:
         raise OutOfRangeError("the constant must be positive")
     if is_exact(C) and is_exact(r_sq):
-        centre_value = n * r_sq ** m
-        if C == centre_value:
+        # cross-multiplied: C = c/p and R^2 = r/q give C - n R^(2m) the sign
+        # of c q^m - n p r^m, in Z or Z[sqrt 5]
+        cu, cw, p = _triple(C)
+        ru, rw, q = _triple(r_sq)
+        if rw:
+            ru, rw = power((ru, rw), m, _root5_product, (1, 0))
+        else:
+            ru **= m
+        scale = q ** m
+        side = _root5_sign(cu * scale - n * p * ru, cw * scale - n * p * rw)
+        if side == 0:
             return Locus("centroid")
-        if C < centre_value:
+        if side < 0:
             return Locus("empty")
     else:
         try:
@@ -363,7 +431,7 @@ def _classify(spec: Figure, m: int, C: Scalar) -> Locus:
             return Locus("centroid")
         if cf < nf:
             return Locus("empty")
-    root = _radius_sq(_u_coefficients(m, dim), n, _float(r_sq), _float(C))
+    root = _radius_sq(m, dim, n, _float(r_sq), _float(C))
     return Locus("circle" if dim == 2 else "sphere", math.sqrt(root))
 
 
@@ -396,22 +464,62 @@ def _root(x: Scalar, scale: Scalar, refuse: Callable[[Scalar], Exception]) -> Sc
 
 def _s4_gap(s2: Scalar, s4: Scalar) -> Scalar:
     """S4 - S2^2, which genuine data keep >= 0."""
-    return _nonnegative(s4 - _finite(s2 * s2), s2, lambda _: InvalidAverageError(
-        "S4 < S2^2 is impossible for genuine data"))
+    return _nonnegative(s4 - _finite(s2 * s2), s2, lambda _: InvalidAverageError(_S4_BELOW_S2_SQ))
+
+
+def _negative_discriminant(dim: int, disc: Scalar) -> NegativeDiscriminantError:
+    return NegativeDiscriminantError(f"{dim + 1}*S2^2 - {dim}*S4 = {describe(disc)} < 0: "
+                                     "no real (R^2, L^2) exists")
+
+
+def _recover_exact(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
+    """_recover on exact S2 = a/D and S4 = b/D, in integers (pairs in Z[sqrt 5]).
+
+    S4 - S2^2 and the discriminant are the pairs b D - a^2 and
+    (dim+1) a^2 - dim b D over D^2, and the root of the discriminant is an
+    integer pair over D, so {R^2, L^2} = (a +- root)/2D.  A Surd input
+    makes the field Q(sqrt 5), else it is Q: a rational radicand's root
+    y sqrt 5 is refused there.
+    """
+    D, ((a, a5), (b, b5)) = _over_one_denominator((s2, s4))
+    surd = isinstance(s2, Surd) or isinstance(s4, Surd)
+    if _root5_sign(a, a5) <= 0:
+        raise InvalidAverageError(_S2_NOT_POSITIVE)
+    sq, sq5 = _root5_product((a, a5), (a, a5))
+    if _root5_sign(b * D - sq, b5 * D - sq5) < 0:
+        raise InvalidAverageError(_S4_BELOW_S2_SQ)
+    disc = ((dim + 1) * sq - dim * b * D, (dim + 1) * sq5 - dim * b5 * D)
+    negative = _root5_sign(*disc) < 0
+    root = None if negative else _root5_isqrt(*disc)
+    if root is None or not surd and root[1]:
+        # the discriminant's value, of the type the operands' arithmetic gives
+        if surd:
+            value = _surd(*disc, D * D)
+        elif isinstance(s2, int) and isinstance(s4, int):
+            value = disc[0]
+        else:
+            value = Fraction(disc[0], D * D)
+        raise _negative_discriminant(dim, value) if negative else _no_exact_sqrt(value)
+    x, y = root
+    if surd:
+        return _surd(a + x, a5 + y, 2 * D), _surd(a - x, a5 - y, 2 * D)
+    return Fraction(a + x, 2 * D), Fraction(a - x, 2 * D)
 
 
 def _recover(dim: int, s2: Scalar, s4: Scalar) -> tuple[Scalar, Scalar]:
     """{R^2, L^2} from S2 = R^2 + L^2 and S4 = S2^2 + (4/dim) R^2 L^2.
 
     The discriminant (dim+1) S2^2 - dim S4 equals (R^2 - L^2)^2 for
-    consistent data; a float one down to -1e-12 S2^2 reads as 0.
+    consistent data; a float one down to -1e-12 S2^2 reads as 0.  Exact
+    data take the integer path of _recover_exact, with the same refusals.
     """
+    if is_exact(s2) and is_exact(s4):
+        return _recover_exact(dim, s2, s4)
     if not s2 > 0:
-        raise InvalidAverageError("S2 must be positive")
+        raise InvalidAverageError(_S2_NOT_POSITIVE)
     _s4_gap(s2, s4)  # (4/dim) R^2 L^2, refused when negative
-    root = _root((dim + 1) * s2 * s2 - dim * s4, s2, lambda disc: (
-        NegativeDiscriminantError(f"{dim + 1}*S2^2 - {dim}*S4 = {describe(disc)} < 0: "
-                                  "no real (R^2, L^2) exists")))
+    root = _root((dim + 1) * s2 * s2 - dim * s4, s2,
+                 lambda disc: _negative_discriminant(dim, disc))
     low = _HALF * (s2 - root)  # a float may round below 0 at the centre
     return (_HALF * (s2 + root), max(low, 0.0) if isinstance(low, float) else low)
 
@@ -431,15 +539,26 @@ def s2m_from_s2(m: int, s2: Scalar, r_sq: Scalar) -> Scalar:
         raise OutOfRangeError("conversion defined for m >= 2")
     if s2 < r_sq:
         raise InvalidAverageError("S2 < R^2 would force L^2 < 0")
-    l_sq = s2 - r_sq
-    return _finite(_design_sum(m, 2, r_sq + l_sq, r_sq * l_sq))
+    return _finite(_design_sum(m, 2, r_sq, s2 - r_sq))
 
 
 def s2m_from_s2_s4(m: int, s2: Scalar, s4: Scalar) -> Scalar:
     """S^(2m) from S2 and S4 alone: eliminates R^2 via S4 - S2^2 = 2 R^2 L^2."""
     if m < 3:
         raise OutOfRangeError("conversion defined for m >= 3")
-    return _finite(_design_sum(m, 2, s2, _HALF * _s4_gap(s2, s4)))
+    if not (is_exact(s2) and is_exact(s4)):
+        return _finite(_design_terms(m, 2, s2, _HALF * _s4_gap(s2, s4)))
+    # S2 = y/q, S4 = b/t and R^2 L^2 = (S4 - S2^2)/2 = x/(2 t q^2) over integer
+    # pairs: the average times e_0 q^m (2t)^K is y^(m-2K) sum_k e_k x^k (2 t y^2)^(K-k)
+    yu, yw, q = _triple(s2)
+    bu, bw, t = _triple(s4)
+    su, sw = _root5_product((yu, yw), (yu, yw))
+    x = (bu * q * q - t * su, bw * q * q - t * sw)
+    if _root5_sign(*x) < 0:
+        raise InvalidAverageError(_S4_BELOW_S2_SQ)
+    field = Surd if isinstance(s2, Surd) or isinstance(s4, Surd) else Fraction
+    return _design_ratio(m, 2, x, (yu, yw), (2 * t * su, 2 * t * sw),
+                         q ** m * (2 * t) ** (m // 2), field)
 
 
 def _sphere_residual(dim: int, d_sq: Sequence[Scalar]) -> Scalar:

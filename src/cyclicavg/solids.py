@@ -38,7 +38,7 @@ def solid_power_sum_closed_sq(kind: SolidKind, m: int, r_sq: Scalar,
                               l_sq: Scalar) -> Scalar:
     """Closed-form sum of d_i^(2m) over all vertices, from squared inputs."""
     _check_power(m, kind.t, kind.value)
-    return _finite(kind.n * _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq))
+    return _finite(_design_sum(m, 3, r_sq, l_sq, kind.n))
 
 
 solid_power_sum_closed = power_sum_closed
@@ -57,18 +57,16 @@ def solid_power_sum_brute(spec: SolidSpec, m: int, p: SpacePlacement) -> Scalar:
     values = (spec.c, p.x, p.y, p.z)
     if m < 1 or any(isinstance(v, float) for v in values):
         return _power_sum(solid_distances_sq(spec, p), m)
-    D, ((cu, cw), *place) = _over_one_denominator(values)
-    place = [(_U * a, _U * b) for a, b in place]
+    D, ((cu, cw), (xa, xb), (ya, yb), (za, zb)) = _over_one_denominator(values)
+    xa, xb, ya, yb, za, zb = _U * xa, _U * xb, _U * ya, _U * yb, _U * za, _U * zb
     coords = [(cu * u + 5 * cw * w, cu * w + cw * u) for u, w in _UNITS]  # UD c s_k
     depth, getters = _VERTICES[spec.kind]
     total_a = total_b = 0
     for get in getters:
-        sa = sb = 0
-        for (xa, xb), (va, vb) in zip(place, get(coords)):
-            da, db = xa - va, xb - vb
-            sa += da * da + 5 * db * db
-            sb += 2 * da * db
-        a, b = power((sa, sb), m, _root5_product, (1, 0))
+        (va, vb), (wa, wb), (ua, ub) = get(coords)
+        da, db, ea, eb, fa, fb = xa - va, xb - vb, ya - wa, yb - wb, za - ua, zb - ub
+        a, b = power((da * da + ea * ea + fa * fa + 5 * (db * db + eb * eb + fb * fb),
+                      2 * (da * db + ea * eb + fa * fb)), m, _root5_product, (1, 0))
         total_a += a
         total_b += b
     scale = (_U * D) ** (2 * m)

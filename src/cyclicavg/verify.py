@@ -383,7 +383,7 @@ def sweep_solid_relations(seed: int) -> list[SweepRow]:
             direction = _random_direction(rng)
             p = _at(rng.uniform(0.0, 3.0 * spec.R), direction)
             l_sq = float(p.L_sq)
-            averages = {m: _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
+            averages = {m: _design_sum(m, 3, r_sq, l_sq)
                         for m in range(1, kind.t + 1)}
             relations += (rel_err(float(lhs), float(rhs)) for _, lhs, rhs in
                           solid_relation_residuals(kind, r_sq,

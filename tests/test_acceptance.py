@@ -278,7 +278,7 @@ def test_criterion_07_solid_relation_suite():
             r = rng.uniform(0.0, 3.0) * spec.R
             p = SpacePlacement(x / norm * r, y / norm * r, z / norm * r)
             l_sq = float(p.L_sq)
-            avgs = {m: _design_sum(m, 3, r_sq + l_sq, r_sq * l_sq)
+            avgs = {m: _design_sum(m, 3, r_sq, l_sq)
                     for m in range(1, kind.t + 1)}
             for _, lhs, rhs in solid_relation_residuals(
                     kind, r_sq, avgs.get(1), avgs.get(2), avgs.get(3),

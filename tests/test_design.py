@@ -67,7 +67,7 @@ def test_one_interface_serves_polygons_and_solids(figure, exact):
         total = closed_sq(m, r_sq, L * L)
         assert power_sum_closed(spec, m, L) == total
         assert cyclic_average(spec, m, L).value \
-            == _design_sum(m, spec.dim, r_sq + L * L, r_sq * (L * L))
+            == _design_sum(m, spec.dim, r_sq, L * L)
         centre = spec.n * r_sq ** m
         assert locus_classify(spec, m, centre) == Locus("centroid")
         locus = locus_classify(spec, m, total)

@@ -1,6 +1,6 @@
-"""Hypothesis property: on rational inputs the design sum, evaluated as one
-integer sum over one denominator, equals the term-by-term sum in value and
-in type."""
+"""Hypothesis property: on rational R^2 and L^2 the design sum, evaluated as
+one integer sum over one denominator, equals the term-by-term sum at
+A = R^2 + L^2, R^2 L^2 in value and in type."""
 
 from fractions import Fraction
 
@@ -30,8 +30,9 @@ def _term_by_term(m, dim, a, rl):
 
 @SETTINGS
 @hypothesis.given(st.integers(1, 30), st.sampled_from([2, 3]), rationals, nonnegative)
-def test_integer_sum_equals_the_term_by_term_sum(m, dim, a, rl):
-    got, want = _design_sum(m, dim, a, rl), _term_by_term(m, dim, a, rl)
+def test_integer_sum_equals_the_term_by_term_sum(m, dim, r_sq, l_sq):
+    got = _design_sum(m, dim, r_sq, l_sq)
+    want = _term_by_term(m, dim, r_sq + l_sq, r_sq * l_sq)
     assert got == want
     assert type(got) is type(want)
 
@@ -41,8 +42,9 @@ def test_types_at_the_edges():
         # dim 2 coefficients are integers, so int inputs give an int
         assert type(_design_sum(m, 2, 7, 3)) is int
         assert type(_design_sum(m, 2, 7, 0)) is int
-        for a, rl in ((Fraction(7), 3), (7, Fraction(3)), (Fraction(7, 2), 0)):
-            assert type(_design_sum(m, 2, a, rl)) is type(_term_by_term(m, 2, a, rl))
-        assert type(_design_sum(m, 3, 7, 3)) is type(_term_by_term(m, 3, 7, 3))
-    # m = 1 has no terms: the sum is a itself, whatever rl is
-    assert type(_design_sum(1, 3, 5, Fraction(1, 3))) is int
+        for r_sq, l_sq in ((Fraction(7), 3), (7, Fraction(3)), (Fraction(7, 2), 0)):
+            assert type(_design_sum(m, 2, r_sq, l_sq)) \
+                is type(_term_by_term(m, 2, r_sq + l_sq, r_sq * l_sq))
+        assert type(_design_sum(m, 3, 7, 3)) is type(_term_by_term(m, 3, 10, 21))
+    # m = 1 has no terms: the sum is R^2 + L^2 itself, an int for ints in any dim
+    assert type(_design_sum(1, 3, 5, 2)) is int

@@ -134,7 +134,7 @@ class TestBruteForce:
         # Fourier term the n-gon does not average away
         R, L = Fraction(3, 2), Fraction(4, 5)
         excess = power_sum_brute_exact(n, n, R, L) \
-            - n * _design_sum(n, 2, R * R + L * L, R * R * (L * L))
+            - n * _design_sum(n, 2, R * R, L * L)
         assert excess == (-1) ** n * 2 * n * (R * L) ** n
 
     def test_irrational_sum_is_refused(self):
@@ -256,7 +256,7 @@ class TestLocus:
             q = _u_coefficients(m, dim)
             assert q[0] == q[m] == 1 and all(qj > 0 for qj in q)
             assert sum(qj * r ** (m - j) * u ** j for j, qj in enumerate(q)) \
-                == _design_sum(m, dim, r + u, r * u)
+                == _design_sum(m, dim, r, u)
 
     def test_rejects_invalid_inputs(self):
         with pytest.raises(OutOfRangeError):
